@@ -69,6 +69,9 @@ ShardSet<2>::Options SetOptions(uint32_t shards, uint32_t latency_us) {
   options.service.num_workers = kWorkersPerShard;
   options.service.frames_per_worker = kFramesPerWorker;
   options.service.simulated_read_latency_us = latency_us;
+  // The paged tier, so every query reaches the simulated disk: a resident
+  // arena would answer from memory and the latency would never apply.
+  options.service.resident_tier = false;
   return options;
 }
 

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -497,10 +498,39 @@ Status SendFrame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("wire: frame exceeds kMaxFrameBytes");
   }
-  std::string header;
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  SPATIAL_RETURN_IF_ERROR(WriteAll(fd, header.data(), header.size()));
-  return WriteAll(fd, payload.data(), payload.size());
+  // Header and payload leave in one sendmsg, so under TCP_NODELAY the
+  // 4-byte length prefix does not go out as a segment of its own.
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  uint8_t header[4];
+  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that closed mid-write yields EPIPE here instead
+    // of delivering SIGPIPE to the whole process.
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("wire: write failed: ") +
+                              std::strerror(errno));
+    }
+    // A partial write: skip the entries sent in full, then advance into
+    // the one the write stopped inside.
+    while (msg.msg_iovlen > 0 &&
+           static_cast<size_t>(n) >= msg.msg_iov->iov_len) {
+      n -= static_cast<ssize_t>(msg.msg_iov->iov_len);
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + n;
+      msg.msg_iov->iov_len -= static_cast<size_t>(n);
+    }
+  }
+  return Status::OK();
 }
 
 Status RecvFrame(int fd, std::string* payload) {

@@ -28,15 +28,17 @@ namespace obs {
 inline constexpr uint32_t kMaxTraceShards = 16;
 
 // One shard's slice of a distributed trace, as observed from the router.
-// `rpc_ns` is the full router-side round trip (submit → answer observed);
-// `queue_wait_ns` + `execute_ns` are the shard's own accounting, so
-// rpc_ns - queue_wait_ns - execute_ns is the transport/overhead share —
-// the network-vs-execute split the trace exists to expose.
+// `rpc_ns` is the router-side span: submit → the shard's response was
+// fulfilled when the scatter is queued, the shard's own execution when
+// it runs inline on the router's thread. `queue_wait_ns` + `execute_ns`
+// are the shard's own accounting, so rpc_ns - queue_wait_ns - execute_ns
+// is the transport/overhead share — the network-vs-execute split the
+// trace exists to expose.
 struct ShardSpan {
   uint32_t shard = 0;
   uint16_t worker = 0;     // shard worker that executed the request
   bool traced = false;     // shard returned its sampled trace record
-  uint64_t rpc_ns = 0;     // submit → answer observed at the router
+  uint64_t rpc_ns = 0;     // router-side span (see above)
   uint64_t queue_wait_ns = 0;  // shard-reported (valid when traced)
   uint64_t execute_ns = 0;     // shard-reported worker wall time
   QueryStats stats;            // shard-reported per-query counters

@@ -1,5 +1,7 @@
 #include "service/query_service.h"
 
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -17,6 +19,35 @@ namespace {
 // batch latency without limiting throughput (the next batch starts
 // immediately).
 constexpr size_t kMaxWriteBatch = 256;
+
+uint64_t SinceNs(std::chrono::steady_clock::time_point start,
+                 std::chrono::steady_clock::time_point end) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count());
+}
+
+// The inline lane a thread tries first: threads take successive lanes, so
+// concurrent callers rarely contend for one.
+uint32_t ThreadLaneHint() {
+  static std::atomic<uint32_t> next{0};
+  thread_local const uint32_t hint =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return hint;
+}
+
+// Resets `r` to a default response, keeping its vectors' capacity.
+template <int D>
+void ResetKeepingCapacity(QueryResponse<D>* r) {
+  QueryResponse<D> fresh;
+  fresh.neighbors.swap(r->neighbors);
+  fresh.entries.swap(r->entries);
+  fresh.batch_offsets.swap(r->batch_offsets);
+  fresh.neighbors.clear();
+  fresh.entries.clear();
+  fresh.batch_offsets.clear();
+  *r = std::move(fresh);
+}
 
 }  // namespace
 
@@ -124,11 +155,13 @@ Status QueryService<D>::StartWorkers() {
     if (CompileResident(root_page, tree_size, source_epoch).ok() &&
         serving_db_ == nullptr) {
       // Read-only trees are immutable for the service's lifetime, so the
-      // workers can hold the raw pointer and skip resident_mu_ per query.
-      for (const auto& worker : workers_) {
-        worker->resident_fixed = resident_.get();
-      }
+      // hot paths can hold the raw pointer and skip resident_mu_ per query.
+      resident_fixed_ = resident_.get();
     }
+  }
+  for (uint32_t i = 0; i < kInlineLanes; ++i) {
+    // Seeds distinct from every worker's (value is arbitrary).
+    inline_lanes_[i].rng = 0xD1B54A32D192ED03ULL * (i + 1) + 1;
   }
   RegisterMetrics();
   epoch_ = std::chrono::steady_clock::now();
@@ -199,107 +232,168 @@ QueryResponse<D> QueryService<D>::Execute(QueryRequest<D> request) {
 }
 
 template <int D>
+bool QueryService<D>::CanExecuteInline(QueryKind kind) const {
+  return resident_fixed_ != nullptr && IsResidentEligible(kind) &&
+         !stopped_.load(std::memory_order_acquire);
+}
+
+template <int D>
+typename QueryService<D>::InlineLane* QueryService<D>::AcquireLane() {
+  const uint32_t hint = ThreadLaneHint();
+  for (uint32_t i = 0; i < kInlineLanes; ++i) {
+    InlineLane& lane = inline_lanes_[(hint + i) % kInlineLanes];
+    if (!lane.busy.load(std::memory_order_relaxed) &&
+        !lane.busy.exchange(true, std::memory_order_acquire)) {
+      return &lane;
+    }
+  }
+  return nullptr;
+}
+
+template <int D>
+void QueryService<D>::ExecuteInline(const QueryRequest<D>& request,
+                                    QueryScratch<D>* scratch,
+                                    QueryResponse<D>* response) {
+  InlineLane* lane =
+      CanExecuteInline(request.kind) ? AcquireLane() : nullptr;
+  if (lane == nullptr) {
+    *response = Execute(request);
+    return;
+  }
+  ResetKeepingCapacity(response);
+  const uint32_t worker_id =
+      options_.num_workers + 1 + static_cast<uint32_t>(lane - inline_lanes_);
+  RunQuery(lane, worker_id, scratch, request,
+           std::chrono::steady_clock::now(), /*queue_wait_ns=*/0, response,
+           [&] {
+             Dispatch(lane, /*tree=*/nullptr, scratch, request,
+                      resident_fixed_, response);
+           });
+  lane->busy.store(false, std::memory_order_release);
+}
+
+template <int D>
 void QueryService<D>::WorkerLoop(Worker* worker, uint32_t worker_id) {
   while (std::optional<Task> task = queue_.Pop()) {
     const auto start = std::chrono::steady_clock::now();
-    const uint64_t queue_wait_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            start - task->submit_time)
-            .count());
+    const uint64_t queue_wait_ns = SinceNs(task->submit_time, start);
     worker->queue_wait.Record(queue_wait_ns);
-    // Per-query sampling draw; an armed scratch.trace pointer is the only
-    // thing the traversals see (one pointer test per node visit; nothing
-    // allocates on either path). A propagated trace context (wire v3:
-    // trace_id + trace_sampled) forces the draw, so a router-sampled
-    // request is traced by every shard it scatters to.
-    const bool forced =
-        task->request.trace_sampled && task->request.trace_id != 0;
-    const bool sampled =
-        forced ||
-        obs::SampleDraw(&worker->rng, options_.trace_sample_per_million);
-    if (sampled) {
-      worker->trace_ctx.Reset();
-      worker->trace_ctx.SetSpan(obs::SpanKind::kQueueWait, queue_wait_ns);
-      worker->scratch.trace = &worker->trace_ctx;
-    }
     QueryResponse<D> response;
-    if (serving_db_ != nullptr) {
-      // Pin the current snapshot for the whole query: the checkpoint
-      // reclaimer will not recycle any page this version can reach until
-      // the Unpin. A reclaim_gen change means some earlier checkpoint DID
-      // recycle ids — cached images of them are stale, drop them.
-      const TreeSnapshot snap = serving_db_->PinSnapshot(worker->reader_slot);
-      Status prep = Status::OK();
-      if (snap.reclaim_gen != worker->last_reclaim_gen) {
-        prep = worker->pool->InvalidateAll();
-        if (prep.ok()) worker->last_reclaim_gen = snap.reclaim_gen;
-      }
-      if (prep.ok()) {
-        worker->tree->Rebase(snap.root_page, snap.size, snap.root_level);
-        // The resident tree is trusted only when it was compiled from
-        // exactly the snapshot this query pinned: a write bumps the epoch
-        // (and usually the COW root), so a stale arena can never serve a
-        // query — it just falls back to the paged path.
-        std::shared_ptr<const ResidentTree<D>> resident;
-        if (options_.resident_tier) {
-          std::lock_guard<std::mutex> lock(resident_mu_);
-          resident = resident_;
-        }
-        const ResidentTree<D>* fast =
-            (resident != nullptr &&
-             resident->source_epoch() == snap.epoch &&
-             resident->root_page() == snap.root_page)
-                ? resident.get()
-                : nullptr;
-        response = Dispatch(worker, task->request, fast);
-      } else {
-        response.status = std::move(prep);
-      }
-      serving_db_->UnpinSnapshot(worker->reader_slot);
-    } else {
-      response = Dispatch(worker, task->request, worker->resident_fixed);
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+    RunQuery(worker, worker_id, &worker->scratch, task->request, start,
+             queue_wait_ns, &response, [&] {
+               if (serving_db_ != nullptr) {
+                 DispatchPinned(worker, task->request, &response);
+               } else {
+                 Dispatch(worker, &*worker->tree, &worker->scratch,
+                          task->request, resident_fixed_, &response);
+               }
+             });
+    // Stamped where the response is fulfilled, so a scatter-gather caller
+    // can tell when this shard finished, not when it was looked at.
+    response.completed_at_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
             .count());
-    response.latency_ns = ns;
-    response.worker_id = worker_id;
-    worker->histogram.Record(ns);
-    (response.ok() ? worker->ok : worker->failed)
-        .fetch_add(1, std::memory_order_relaxed);
-    const int kind = static_cast<int>(task->request.kind);
-    ++worker->kind_count[kind];
-    worker->kind_stats[kind].Add(response.stats);
-    if (sampled) {
-      worker->trace_ctx.SetSpan(obs::SpanKind::kExecute, ns);
-      worker->scratch.trace = nullptr;
-    }
-    if (sampled || ns >= slow_log_->slow_threshold_ns()) {
-      // Stack POD copied into the log's preallocated ring: the capture
-      // path allocates nothing.
-      obs::QueryTraceRecord rec;
-      rec.worker = static_cast<uint16_t>(worker_id);
-      rec.k = task->request.kind == QueryKind::kTopK ? task->request.top_k
-                                                     : task->request.knn.k;
-      rec.SetKindName(QueryKindName(task->request.kind));
-      rec.latency_ns = ns;
-      rec.queue_wait_ns = queue_wait_ns;
-      rec.traced = sampled;
-      rec.stats = response.stats;
-      if (sampled) {
-        for (int l = 0; l < obs::kTraceMaxLevels; ++l) {
-          rec.nodes_per_level[l] = worker->trace_ctx.nodes_per_level[l];
-        }
-        // The response carries the record back to the caller — over the
-        // wire when the request rode a sampled trace context, so the
-        // router can place this shard's span inside the assembled trace.
-        response.trace = rec;
-        response.has_trace = true;
-      }
-      slow_log_->Record(rec);
-    }
     task->promise.set_value(std::move(response));
+  }
+}
+
+template <int D>
+void QueryService<D>::DispatchPinned(Worker* worker,
+                                     const QueryRequest<D>& request,
+                                     QueryResponse<D>* response) {
+  // Pin the current snapshot for the whole query: the checkpoint
+  // reclaimer will not recycle any page this version can reach until the
+  // Unpin. A reclaim_gen change means some earlier checkpoint DID recycle
+  // ids — cached images of them are stale, drop them.
+  const TreeSnapshot snap = serving_db_->PinSnapshot(worker->reader_slot);
+  Status prep = Status::OK();
+  if (snap.reclaim_gen != worker->last_reclaim_gen) {
+    prep = worker->pool->InvalidateAll();
+    if (prep.ok()) worker->last_reclaim_gen = snap.reclaim_gen;
+  }
+  if (prep.ok()) {
+    worker->tree->Rebase(snap.root_page, snap.size, snap.root_level);
+    // The resident tree is trusted only when it was compiled from exactly
+    // the snapshot this query pinned: a write bumps the epoch (and usually
+    // the COW root), so a stale arena can never serve a query — it just
+    // falls back to the paged path.
+    std::shared_ptr<const ResidentTree<D>> resident;
+    if (options_.resident_tier) {
+      std::lock_guard<std::mutex> lock(resident_mu_);
+      resident = resident_;
+    }
+    const ResidentTree<D>* fast =
+        (resident != nullptr && resident->source_epoch() == snap.epoch &&
+         resident->root_page() == snap.root_page)
+            ? resident.get()
+            : nullptr;
+    Dispatch(worker, &*worker->tree, &worker->scratch, request, fast,
+             response);
+  } else {
+    response->status = std::move(prep);
+  }
+  serving_db_->UnpinSnapshot(worker->reader_slot);
+}
+
+template <int D>
+template <typename DispatchFn>
+void QueryService<D>::RunQuery(Executor* ex, uint32_t worker_id,
+                               QueryScratch<D>* scratch,
+                               const QueryRequest<D>& request,
+                               std::chrono::steady_clock::time_point start,
+                               uint64_t queue_wait_ns,
+                               QueryResponse<D>* response,
+                               DispatchFn&& dispatch) {
+  // Per-query sampling draw; an armed scratch->trace pointer is the only
+  // thing the traversals see (one pointer test per node visit; nothing
+  // allocates on either path). A propagated trace context (wire v3:
+  // trace_id + trace_sampled) forces the draw, so a router-sampled request
+  // is traced by every shard it scatters to.
+  const bool forced = request.trace_sampled && request.trace_id != 0;
+  const bool sampled =
+      forced || obs::SampleDraw(&ex->rng, options_.trace_sample_per_million);
+  if (sampled) {
+    ex->trace_ctx.Reset();
+    ex->trace_ctx.SetSpan(obs::SpanKind::kQueueWait, queue_wait_ns);
+    scratch->trace = &ex->trace_ctx;
+  }
+  dispatch();
+  const uint64_t ns = SinceNs(start, std::chrono::steady_clock::now());
+  response->latency_ns = ns;
+  response->worker_id = worker_id;
+  ex->histogram.Record(ns);
+  (response->ok() ? ex->ok : ex->failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  const int kind = static_cast<int>(request.kind);
+  ++ex->kind_count[kind];
+  ex->kind_stats[kind].Add(response->stats);
+  if (sampled) {
+    ex->trace_ctx.SetSpan(obs::SpanKind::kExecute, ns);
+    scratch->trace = nullptr;
+  }
+  if (sampled || ns >= slow_log_->slow_threshold_ns()) {
+    // Stack POD copied into the log's preallocated ring: the capture path
+    // allocates nothing.
+    obs::QueryTraceRecord rec;
+    rec.worker = static_cast<uint16_t>(worker_id);
+    rec.k = request.kind == QueryKind::kTopK ? request.top_k : request.knn.k;
+    rec.SetKindName(QueryKindName(request.kind));
+    rec.latency_ns = ns;
+    rec.queue_wait_ns = queue_wait_ns;
+    rec.traced = sampled;
+    rec.stats = response->stats;
+    if (sampled) {
+      for (int l = 0; l < obs::kTraceMaxLevels; ++l) {
+        rec.nodes_per_level[l] = ex->trace_ctx.nodes_per_level[l];
+      }
+      // The response carries the record back to the caller — over the
+      // wire when the request rode a sampled trace context, so the router
+      // can place this shard's span inside the assembled trace.
+      response->trace = rec;
+      response->has_trace = true;
+    }
+    slow_log_->Record(rec);
   }
 }
 
@@ -327,19 +421,20 @@ void QueryService<D>::RunWriteBatch(std::vector<Task>* batch) {
   while (i < batch->size()) {
     const auto start = std::chrono::steady_clock::now();
     const auto finish = [&](Task* t, QueryResponse<D> response) {
-      response.latency_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
+      response.latency_ns = SinceNs(start, std::chrono::steady_clock::now());
       response.worker_id = writer_id;
       t->promise.set_value(std::move(response));
     };
     if ((*batch)[i].request.kind == QueryKind::kCheckpoint) {
       QueryResponse<D> response;
+      // Completed checkpoints are counted by the database itself, which
+      // also sees the ones WAL rotation triggers inside ApplyBatch.
       response.status = serving_db_->Checkpoint();
-      (response.ok() ? checkpoints_ : writes_failed_)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (response.ok()) DropStaleResident();
+      if (response.ok()) {
+        DropStaleResident();
+      } else {
+        writes_failed_.fetch_add(1, std::memory_order_relaxed);
+      }
       finish(&(*batch)[i], std::move(response));
       ++i;
       continue;
@@ -377,21 +472,22 @@ void QueryService<D>::RunWriteBatch(std::vector<Task>* batch) {
 }
 
 template <int D>
-QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
-                                           const QueryRequest<D>& request,
-                                           const ResidentTree<D>* resident) {
-  QueryResponse<D> response;
-  const RTree<D>& tree = *worker->tree;
+void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
+                               QueryScratch<D>* scratch,
+                               const QueryRequest<D>& request,
+                               const ResidentTree<D>* resident,
+                               QueryResponse<D>* out) {
+  QueryResponse<D>& response = *out;
   const int kind = static_cast<int>(request.kind);
   // Tier routing for resident-eligible kinds: one branch per query, and
   // the fallback counter records every eligible query the tier *could not*
   // serve (disabled tiers count nothing — the gap is not a fallback).
   const auto route = [&](auto&& fast, auto&& paged) {
     if (resident != nullptr) {
-      ++worker->tier_hits[kind];
+      ++ex->tier_hits[kind];
       fast();
     } else {
-      if (options_.resident_tier) ++worker->tier_fallbacks[kind];
+      if (options_.resident_tier) ++ex->tier_fallbacks[kind];
       paged();
     }
   };
@@ -404,20 +500,20 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
       if (approx_knobs_set) {
         response.status = Status::InvalidArgument(
             "epsilon/max_visits require the approx-knn kind");
-        return response;
+        return;
       }
       route(
           [&] {
             response.status = KnnSearchInto<D>(
-                *resident, request.query, request.knn, &worker->scratch,
+                *resident, request.query, request.knn, scratch,
                 &response.neighbors, &response.stats);
           },
           [&] {
             response.status = KnnSearchInto<D>(
-                tree, request.query, request.knn, &worker->scratch,
+                *tree, request.query, request.knn, scratch,
                 &response.neighbors, &response.stats);
           });
-      return response;
+      return;
     }
     case QueryKind::kConstrainedKnn: {
       if (approx_knobs_set ||
@@ -426,9 +522,9 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
         response.status = Status::InvalidArgument(
             "constrained kNN supports none of epsilon/max_visits/"
             "max_distance");
-        return response;
+        return;
       }
-      auto result = ConstrainedKnnSearch<D>(tree, request.query,
+      auto result = ConstrainedKnnSearch<D>(*tree, request.query,
                                             request.window, request.knn,
                                             &response.stats);
       if (result.ok()) {
@@ -436,16 +532,16 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
       } else {
         response.status = result.status();
       }
-      return response;
+      return;
     }
     case QueryKind::kRange: {
-      response.status = tree.Search(request.window, &response.entries);
-      return response;
+      response.status = tree->Search(request.window, &response.entries);
+      return;
     }
     case QueryKind::kTopK: {
       if (request.top_k < 1) {
         response.status = Status::InvalidArgument("top_k must be >= 1");
-        return response;
+        return;
       }
       const auto drain = [&](IncrementalKnn<D>& scan) {
         for (uint32_t i = 0; i < request.top_k; ++i) {
@@ -460,39 +556,39 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
       };
       route(
           [&] {
-            IncrementalKnn<D> scan(*resident, request.query, &worker->scratch,
+            IncrementalKnn<D> scan(*resident, request.query, scratch,
                                    &response.stats);
             drain(scan);
           },
           [&] {
-            IncrementalKnn<D> scan(tree, request.query, &worker->scratch,
+            IncrementalKnn<D> scan(*tree, request.query, scratch,
                                    &response.stats);
             drain(scan);
           });
-      return response;
+      return;
     }
     case QueryKind::kBatchKnn: {
       if (approx_knobs_set) {
         response.status = Status::InvalidArgument(
             "epsilon/max_visits require the approx-knn kind");
-        return response;
+        return;
       }
       if (request.batch_queries.empty()) {
         response.batch_offsets.push_back(0);
-        return response;
+        return;
       }
       BatchKnnResult batch;
       route(
           [&] {
             response.status = KnnSearchBatch<D>(
                 *resident, request.batch_queries.data(),
-                request.batch_queries.size(), request.knn, &worker->scratch,
+                request.batch_queries.size(), request.knn, scratch,
                 &batch);
           },
           [&] {
             response.status = KnnSearchBatch<D>(
-                tree, request.batch_queries.data(),
-                request.batch_queries.size(), request.knn, &worker->scratch,
+                *tree, request.batch_queries.data(),
+                request.batch_queries.size(), request.knn, scratch,
                 &batch);
           });
       if (response.status.ok()) {
@@ -500,7 +596,7 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
         response.batch_offsets = std::move(batch.offsets);
         for (const QueryStats& qs : batch.stats) response.stats.Add(qs);
       }
-      return response;
+      return;
     }
     case QueryKind::kReverseKnn: {
       if constexpr (D == 2) {
@@ -513,13 +609,13 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
               [&] {
                 response.status =
                     ReverseKnnCandidates(*resident, request.query, rknn,
-                                         &worker->scratch, &response.entries,
+                                         scratch, &response.entries,
                                          &response.stats);
               },
               [&] {
                 response.status =
-                    ReverseKnnCandidates(tree, request.query, rknn,
-                                         &worker->scratch, &response.entries,
+                    ReverseKnnCandidates(*tree, request.query, rknn,
+                                         scratch, &response.entries,
                                          &response.stats);
               });
         } else {
@@ -527,13 +623,13 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
               [&] {
                 response.status =
                     ReverseKnnSearch(*resident, request.query, rknn,
-                                     &worker->scratch, &response.neighbors,
+                                     scratch, &response.neighbors,
                                      &response.stats);
               },
               [&] {
                 response.status =
-                    ReverseKnnSearch(tree, request.query, rknn,
-                                     &worker->scratch, &response.neighbors,
+                    ReverseKnnSearch(*tree, request.query, rknn,
+                                     scratch, &response.neighbors,
                                      &response.stats);
               });
         }
@@ -543,37 +639,37 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
         response.status = Status::InvalidArgument(
             "reverse-knn supports 2-D services only");
       }
-      return response;
+      return;
     }
     case QueryKind::kNnSkyline: {
       route(
           [&] {
             response.status = NnSkylineSearch<D>(
                 *resident, request.batch_queries.data(),
-                request.batch_queries.size(), &worker->scratch,
+                request.batch_queries.size(), scratch,
                 &response.entries, &response.stats);
           },
           [&] {
             response.status = NnSkylineSearch<D>(
-                tree, request.batch_queries.data(),
-                request.batch_queries.size(), &worker->scratch,
+                *tree, request.batch_queries.data(),
+                request.batch_queries.size(), scratch,
                 &response.entries, &response.stats);
           });
-      return response;
+      return;
     }
     case QueryKind::kApproxKnn: {
       route(
           [&] {
             response.status = KnnSearchInto<D>(
-                *resident, request.query, request.knn, &worker->scratch,
+                *resident, request.query, request.knn, scratch,
                 &response.neighbors, &response.stats);
           },
           [&] {
             response.status = KnnSearchInto<D>(
-                tree, request.query, request.knn, &worker->scratch,
+                *tree, request.query, request.knn, scratch,
                 &response.neighbors, &response.stats);
           });
-      return response;
+      return;
     }
     case QueryKind::kInsert:
     case QueryKind::kDelete:
@@ -582,10 +678,9 @@ QueryResponse<D> QueryService<D>::Dispatch(Worker* worker,
       // worker with one is a bug.
       response.status =
           Status::Internal("write request dispatched to a query worker");
-      return response;
+      return;
   }
   response.status = Status::InvalidArgument("unknown query kind");
-  return response;
 }
 
 template <int D>
@@ -859,10 +954,10 @@ void QueryService<D>::CollectMetrics(obs::ExpositionWriter& writer) const {
     if (!IsResidentEligible(kind)) continue;
     uint64_t hits = 0;
     uint64_t fallbacks = 0;
-    for (const auto& worker : workers_) {
-      hits += worker->tier_hits[k];
-      fallbacks += worker->tier_fallbacks[k];
-    }
+    ForEachExecutor([&](const Executor& ex) {
+      hits += ex.tier_hits[k];
+      fallbacks += ex.tier_fallbacks[k];
+    });
     writer.Sample("spatial_resident_queries_total",
                   KindLabel(kind) + ",tier=\"resident\"", hits);
     writer.Sample("spatial_resident_queries_total",
@@ -923,12 +1018,22 @@ void QueryService<D>::CollectMetrics(obs::ExpositionWriter& writer) const {
 }
 
 template <int D>
+template <typename Fn>
+void QueryService<D>::ForEachExecutor(Fn&& fn) const {
+  for (const auto& worker : workers_) fn(*worker);
+  for (const InlineLane& lane : inline_lanes_) fn(lane);
+}
+
+template <int D>
 ServiceStats QueryService<D>::Snapshot() const {
   ServiceStats stats;
   stats.workers = static_cast<uint32_t>(workers_.size());
   stats.writes_ok = writes_ok_.load(std::memory_order_relaxed);
   stats.writes_failed = writes_failed_.load(std::memory_order_relaxed);
-  stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
+  if (serving_db_ != nullptr) {
+    stats.checkpoints = serving_db_->checkpoints() -
+                        checkpoints_base_.load(std::memory_order_relaxed);
+  }
   stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     epoch_)
@@ -945,18 +1050,20 @@ ServiceStats QueryService<D>::Snapshot() const {
     }
   }
   for (const auto& worker : workers_) {
-    stats.queries_ok += worker->ok.load(std::memory_order_relaxed);
-    stats.queries_failed += worker->failed.load(std::memory_order_relaxed);
     stats.io += worker->disk->stats();
     stats.buffer += worker->pool->stats();
-    for (int kind = 0; kind < kNumQueryKinds; ++kind) {
-      stats.query.Add(worker->kind_stats[kind].Snapshot());
-      stats.resident_hits += worker->tier_hits[kind];
-      stats.resident_fallbacks += worker->tier_fallbacks[kind];
-    }
-    stats.latency += worker->histogram.Snapshot();
     stats.queue_wait += worker->queue_wait.Snapshot();
   }
+  ForEachExecutor([&](const Executor& ex) {
+    stats.queries_ok += ex.ok.load(std::memory_order_relaxed);
+    stats.queries_failed += ex.failed.load(std::memory_order_relaxed);
+    for (int kind = 0; kind < kNumQueryKinds; ++kind) {
+      stats.query.Add(ex.kind_stats[kind].Snapshot());
+      stats.resident_hits += ex.tier_hits[kind];
+      stats.resident_fallbacks += ex.tier_fallbacks[kind];
+    }
+    stats.latency += ex.histogram.Snapshot();
+  });
   return stats;
 }
 
@@ -964,9 +1071,8 @@ template <int D>
 QueryStats QueryService<D>::KindQueryStats(QueryKind kind) const {
   QueryStats stats;
   const int k = static_cast<int>(kind);
-  for (const auto& worker : workers_) {
-    stats.Add(worker->kind_stats[k].Snapshot());
-  }
+  ForEachExecutor(
+      [&](const Executor& ex) { stats.Add(ex.kind_stats[k].Snapshot()); });
   return stats;
 }
 
@@ -974,30 +1080,39 @@ template <int D>
 uint64_t QueryService<D>::KindQueryCount(QueryKind kind) const {
   uint64_t n = 0;
   const int k = static_cast<int>(kind);
-  for (const auto& worker : workers_) n += worker->kind_count[k];
+  ForEachExecutor([&](const Executor& ex) { n += ex.kind_count[k]; });
   return n;
+}
+
+template <int D>
+void QueryService<D>::Executor::Reset() {
+  for (int kind = 0; kind < kNumQueryKinds; ++kind) {
+    kind_stats[kind].Reset();
+    kind_count[kind] = 0;
+    tier_hits[kind] = 0;
+    tier_fallbacks[kind] = 0;
+  }
+  histogram.Reset();
+  ok.store(0, std::memory_order_relaxed);
+  failed.store(0, std::memory_order_relaxed);
 }
 
 template <int D>
 void QueryService<D>::ResetStats() {
   for (const auto& worker : workers_) {
+    worker->Reset();
     worker->disk->ResetStats();
     worker->pool->ResetStats();
-    for (int kind = 0; kind < kNumQueryKinds; ++kind) {
-      worker->kind_stats[kind].Reset();
-      worker->kind_count[kind] = 0;
-      worker->tier_hits[kind] = 0;
-      worker->tier_fallbacks[kind] = 0;
-    }
-    worker->histogram.Reset();
     worker->queue_wait.Reset();
     worker->read_latency.Reset();
-    worker->ok.store(0, std::memory_order_relaxed);
-    worker->failed.store(0, std::memory_order_relaxed);
   }
+  for (InlineLane& lane : inline_lanes_) lane.Reset();
   writes_ok_.store(0, std::memory_order_relaxed);
   writes_failed_.store(0, std::memory_order_relaxed);
-  checkpoints_.store(0, std::memory_order_relaxed);
+  if (serving_db_ != nullptr) {
+    checkpoints_base_.store(serving_db_->checkpoints(),
+                            std::memory_order_relaxed);
+  }
   epoch_ = std::chrono::steady_clock::now();
 }
 

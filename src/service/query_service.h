@@ -58,10 +58,10 @@ namespace spatial {
 //   auto future = (*svc)->Submit(QueryRequest<2>::Knn({{0.5, 0.5}}, 8));
 //   QueryResponse<2> resp = future.get();
 //
-// Submit may be called from any number of threads. Stats() may be called
-// at any time; counters are exact once every submitted future has
-// resolved. The destructor drains outstanding requests and joins the
-// workers.
+// Submit and ExecuteInline may be called from any number of threads.
+// Stats() may be called at any time; counters are exact once every
+// submitted future has resolved. The destructor drains outstanding
+// requests and joins the workers.
 template <int D>
 class QueryService {
  public:
@@ -142,6 +142,27 @@ class QueryService {
   // Convenience synchronous round trip.
   QueryResponse<D> Execute(QueryRequest<D> request);
 
+  // Synchronous execution on the calling thread, for callers that already
+  // own a thread and a scratch arena (the shard router's nearest-first kNN
+  // scatter, docs/SHARDING.md). The answer overwrites `response` in place,
+  // so a caller that reuses one response reuses its vectors' capacity. The
+  // request runs inline when CanExecuteInline(kind) holds and one of the
+  // service's inline accounting lanes is free; otherwise it takes the
+  // queue exactly as Execute() does. Inline executions are accounted like
+  // worker executions — Snapshot(), per-kind counts and stats, tier hits,
+  // the latency histogram, the slow/sampled query log, and the trace
+  // record of a sampled request — except that there is no queue: the
+  // queue-wait histogram is untouched and a record's queue wait is zero.
+  // Inline executions report worker ids above num_workers() (the writer's
+  // id), one per lane.
+  void ExecuteInline(const QueryRequest<D>& request, QueryScratch<D>* scratch,
+                     QueryResponse<D>* response);
+
+  // True when ExecuteInline runs `kind` on the calling thread: a running
+  // read-only service (Open / Attach) whose resident tree compiled at
+  // start-up, and a resident-eligible kind.
+  bool CanExecuteInline(QueryKind kind) const;
+
   // Stops accepting requests, drains the queue, joins workers. Idempotent;
   // also run by the destructor.
   void Shutdown();
@@ -209,27 +230,38 @@ class QueryService {
     std::chrono::steady_clock::time_point submit_time;
   };
 
+  // What one executor accumulates: a worker thread, or an inline lane.
+  // Written only by the executor that owns it (a lane is owned while its
+  // `busy` flag is held), read live by Snapshot() and the metrics scrape.
+  struct Executor {
+    LatencyHistogram histogram;
+    std::atomic<uint64_t> ok{0};
+    std::atomic<uint64_t> failed{0};
+    // Traversal counters, sharded per kind; written once per query.
+    obs::AtomicQueryStats kind_stats[kNumQueryKinds];
+    obs::StatCounter kind_count[kNumQueryKinds];
+    // Tier routing counters for resident-eligible kinds: served from the
+    // arena vs fell back to the paged path.
+    obs::StatCounter tier_hits[kNumQueryKinds];
+    obs::StatCounter tier_fallbacks[kNumQueryKinds];
+    // Sampled tracing: the reusable trace context (armed through
+    // scratch->trace only for sampled queries) and the sampling RNG.
+    obs::TraceContext trace_ctx;
+    uint64_t rng = 0;
+
+    void Reset();
+  };
+
   // Everything a worker thread touches while executing queries. Built on
-  // the service thread before workers start; thereafter `stats_ok/failed`
-  // and the histogram are written only by the owning worker.
-  struct Worker {
+  // the service thread before workers start; thereafter written only by
+  // the owning worker.
+  struct Worker : Executor {
     std::unique_ptr<ReadOnlyDiskView> disk;
     std::unique_ptr<BufferPool> pool;
     std::optional<RTree<D>> tree;
-    LatencyHistogram histogram;
     LatencyHistogram queue_wait;
     // Physical-read latency, recorded by the disk view (miss path only).
     obs::PowerHistogram read_latency;
-    std::atomic<uint64_t> ok{0};
-    std::atomic<uint64_t> failed{0};
-    // Traversal counters, sharded per kind; written once per query by the
-    // owning worker, read live by Snapshot() and the metrics scrape.
-    obs::AtomicQueryStats kind_stats[kNumQueryKinds];
-    obs::StatCounter kind_count[kNumQueryKinds];
-    // Sampled tracing: the worker's reusable trace context (armed through
-    // scratch.trace only for sampled queries) and its sampling RNG.
-    obs::TraceContext trace_ctx;
-    uint64_t rng = 0;
     // Reusable traversal arena: after warm-up, kNN/top-k dispatches run
     // without heap allocation (docs/PERF.md).
     QueryScratch<D> scratch;
@@ -238,16 +270,15 @@ class QueryService {
     // page ids and the private pool's cached images must be dropped.
     uint32_t reader_slot = 0;
     uint64_t last_reclaim_gen = 0;
-    // Read-only mode only: the resident tree, set before the worker
-    // thread starts and immutable afterwards, so the hot path reads it
-    // with no synchronization at all. Serving workers instead take a
-    // shared_ptr copy per query (the tree can be invalidated under them).
-    const ResidentTree<D>* resident_fixed = nullptr;
-    // Tier routing counters for resident-eligible kinds (kKnn, kTopK,
-    // kBatchKnn): served from the arena vs fell back to the paged path.
-    obs::StatCounter tier_hits[kNumQueryKinds];
-    obs::StatCounter tier_fallbacks[kNumQueryKinds];
   };
+
+  // Accounting for ExecuteInline callers. A caller borrows a free lane for
+  // one query, so each lane keeps the single-writer discipline of a
+  // worker's counters; the scratch arena is the caller's own.
+  struct alignas(64) InlineLane : Executor {
+    std::atomic<bool> busy{false};
+  };
+  static constexpr uint32_t kInlineLanes = 8;
 
   QueryService(const SpatialDb<D>* db, std::unique_ptr<SpatialDb<D>> owned,
                const Options& options);
@@ -258,10 +289,28 @@ class QueryService {
   void WorkerLoop(Worker* worker, uint32_t worker_id);
   void WriterLoop();
   void RunWriteBatch(std::vector<Task>* batch);
-  // `resident` is the tree to route eligible kinds through, already
-  // validated against the worker's pinned snapshot (null = paged path).
-  QueryResponse<D> Dispatch(Worker* worker, const QueryRequest<D>& request,
-                            const ResidentTree<D>* resident);
+  // Runs one read query on `ex`: the sampling draw, `dispatch` (which
+  // fills `response`), latency, the executor's counters and the
+  // slow/sampled log. `start` is when execution began.
+  template <typename DispatchFn>
+  void RunQuery(Executor* ex, uint32_t worker_id, QueryScratch<D>* scratch,
+                const QueryRequest<D>& request,
+                std::chrono::steady_clock::time_point start,
+                uint64_t queue_wait_ns, QueryResponse<D>* response,
+                DispatchFn&& dispatch);
+  // Fills the default-constructed `response`. `resident` is the tree to
+  // route eligible kinds through, already validated against the worker's
+  // pinned snapshot (null = paged path through `tree`, which inline
+  // callers never reach).
+  void Dispatch(Executor* ex, const RTree<D>* tree, QueryScratch<D>* scratch,
+                const QueryRequest<D>& request,
+                const ResidentTree<D>* resident, QueryResponse<D>* response);
+  // Serving mode: Dispatch under a pin of the current snapshot.
+  void DispatchPinned(Worker* worker, const QueryRequest<D>& request,
+                      QueryResponse<D>* response);
+  InlineLane* AcquireLane();
+  template <typename Fn>
+  void ForEachExecutor(Fn&& fn) const;
   // Compiles the tree version identified by (root_page, tree_size,
   // source_epoch) through a throwaway pool and publishes it under
   // resident_mu_.
@@ -284,8 +333,11 @@ class QueryService {
   std::thread writer_thread_;
   std::atomic<uint64_t> writes_ok_{0};
   std::atomic<uint64_t> writes_failed_{0};
-  std::atomic<uint64_t> checkpoints_{0};
+  // ServingDb::checkpoints() at the last ResetStats(): the service reports
+  // every checkpoint since — explicit requests and WAL rotations alike.
+  std::atomic<uint64_t> checkpoints_base_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
+  InlineLane inline_lanes_[kInlineLanes];
   std::vector<std::thread> threads_;
   bool reader_slots_held_ = false;
   std::chrono::steady_clock::time_point epoch_;
@@ -298,10 +350,14 @@ class QueryService {
   // compiled by StartWorkers / RecompileResidentTier, dropped by the
   // writer thread when a batch publishes a new version. Serving workers
   // copy the shared_ptr per query and verify (source_epoch, root_page)
-  // against their pinned snapshot; read-only workers bypass the mutex via
-  // Worker::resident_fixed.
+  // against their pinned snapshot; read-only workers and inline callers
+  // bypass the mutex via resident_fixed_.
   mutable std::mutex resident_mu_;
   std::shared_ptr<const ResidentTree<D>> resident_;
+  // Read-only mode only: the resident tree, set before the worker threads
+  // start and immutable afterwards, so the hot paths read it with no
+  // synchronization at all. Null when serving, disabled or over the cap.
+  const ResidentTree<D>* resident_fixed_ = nullptr;
   std::atomic<uint64_t> resident_compiles_{0};
   std::atomic<uint64_t> resident_invalidations_{0};
   obs::PowerHistogram resident_compile_ns_;

@@ -268,6 +268,11 @@ struct QueryResponse {
   // when has_trace is set.
   bool has_trace = false;
   obs::QueryTraceRecord trace;
+  // In-process only, never on the wire: the steady-clock time (ns since
+  // the clock's epoch) at which a worker fulfilled this response; 0 when
+  // it did not come through the queue. The router's per-shard spans end
+  // here (docs/OBSERVABILITY.md "Distributed traces").
+  uint64_t completed_at_ns = 0;
 
   bool ok() const { return status.ok(); }
 };

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,10 @@ void ShardRouter<D>::RegisterMetrics() {
   traces_assembled_ = metrics_.AddCounter(
       "spatial_router_traces_assembled_total",
       "Sampled cross-shard traces assembled from per-shard trace records");
+  inline_scatters_ = metrics_.AddCounter(
+      "spatial_router_inline_scatters_total",
+      "kNN scatters run nearest-first on the calling thread instead of "
+      "queued to the shard workers");
   merge_ns_ = metrics_.AddHistogram(
       "spatial_router_merge_ns",
       "Scatter-gather wall time per request (submit to merged answer)");
@@ -198,19 +203,41 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
     scattered.trace_sampled = true;
   }
 
-  std::vector<std::future<QueryResponse<D>>> futures;
-  futures.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    futures.push_back(shards_->shard(s).Submit(scattered));
-  }
-
-  uint64_t completed_ns[obs::kMaxTraceShards] = {};
-  std::vector<QueryResponse<D>> answers;
-  answers.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    answers.push_back(futures[s].get());
-    if (sampled && s < obs::kMaxTraceShards) {
-      completed_ns[s] = ElapsedNs(start);
+  // Inline answer slots are reused per thread, so each shard's response
+  // keeps its neighbor vector's capacity from the previous call; they
+  // only ever grow, so routers of different widths on one thread share
+  // them without reallocating. Queued answers (possibly large ranges or
+  // batches) are not kept.
+  thread_local std::vector<QueryResponse<D>> tls_inline_answers;
+  std::vector<QueryResponse<D>> queued_answers;
+  const bool run_inline = RunsInline(request);
+  std::vector<QueryResponse<D>>& slots =
+      run_inline ? tls_inline_answers : queued_answers;
+  if (slots.size() < n) slots.resize(n);
+  const std::span<QueryResponse<D>> answers(slots.data(), n);
+  // Per-shard router-side spans, taken only for sampled requests.
+  uint64_t shard_ns[obs::kMaxTraceShards] = {};
+  if (run_inline) {
+    inline_scatters_->Inc();
+    ScatterInline(scattered, sampled, answers, shard_ns);
+  } else {
+    std::vector<std::future<QueryResponse<D>>> futures;
+    futures.reserve(n);
+    for (uint32_t s = 0; s < n; ++s) {
+      futures.push_back(shards_->shard(s).Submit(scattered));
+    }
+    for (uint32_t s = 0; s < n; ++s) answers[s] = futures[s].get();
+    if (sampled) {
+      // Each span ends where the worker fulfilled the response, not where
+      // this loop got to it, so the shards' finishing order shows.
+      const uint64_t start_ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              start.time_since_epoch())
+              .count());
+      for (uint32_t s = 0; s < n && s < obs::kMaxTraceShards; ++s) {
+        const uint64_t done = answers[s].completed_at_ns;
+        shard_ns[s] = done > start_ns ? done - start_ns : 0;
+      }
     }
   }
   const uint64_t scatter_ns = ElapsedNs(start);
@@ -219,17 +246,19 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   for (const auto& a : answers) {
     if (!a.status.ok() && merged.status.ok()) merged.status = a.status;
     merged.stats.Add(a.stats);
-    // The scatter runs shards concurrently: the round trip's critical path
-    // is the slowest shard, so that is the latency we report.
-    merged.latency_ns = std::max(merged.latency_ns, a.latency_ns);
+    // The round trip's critical path: the shards one after another when
+    // they ran inline, the slowest shard when they ran concurrently.
+    merged.latency_ns = run_inline
+                            ? merged.latency_ns + a.latency_ns
+                            : std::max(merged.latency_ns, a.latency_ns);
   }
   if (!merged.status.ok()) {
     const uint64_t total_ns = ElapsedNs(start);
     merge_ns_->Record(total_ns);
     if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
       RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
-                         sampled ? completed_ns : nullptr, scatter_ns,
-                         total_ns, merged.stats);
+                         sampled ? shard_ns : nullptr, scatter_ns, total_ns,
+                         merged.stats);
     }
     return merged;
   }
@@ -241,13 +270,18 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
     case QueryKind::kApproxKnn: {
       const uint32_t k = request.kind == QueryKind::kTopK ? request.top_k
                                                           : request.knn.k;
+      // An inline kNN merges in a per-thread buffer, so the returned
+      // vector is its only allocation here.
+      thread_local std::vector<Neighbor> tls_pool;
+      std::vector<Neighbor> queued_pool;
+      std::vector<Neighbor>& pool = run_inline ? tls_pool : queued_pool;
+      pool.clear();
       for (const auto& a : answers) {
-        merged.neighbors.insert(merged.neighbors.end(), a.neighbors.begin(),
-                                a.neighbors.end());
+        pool.insert(pool.end(), a.neighbors.begin(), a.neighbors.end());
       }
-      std::sort(merged.neighbors.begin(), merged.neighbors.end(),
-                NeighborLess);
-      if (merged.neighbors.size() > k) merged.neighbors.resize(k);
+      std::sort(pool.begin(), pool.end(), NeighborLess);
+      merged.neighbors.assign(pool.begin(),
+                              pool.begin() + std::min<size_t>(k, pool.size()));
       break;
     }
     case QueryKind::kRange: {
@@ -341,23 +375,68 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   merge_ns_->Record(total_ns);
   if (sampled || total_ns >= trace_log_.slow_threshold_ns()) {
     RecordScatterTrace(request, sampled, trace_id, root_span_id, answers,
-                       sampled ? completed_ns : nullptr, scatter_ns, total_ns,
+                       sampled ? shard_ns : nullptr, scatter_ns, total_ns,
                        merged.stats);
   }
   return merged;
 }
 
+template <int D>
+bool ShardRouter<D>::RunsInline(const QueryRequest<D>& request) const {
+  if (request.kind != QueryKind::kKnn) return false;
+  for (uint32_t s = 0; s < shards_->num_shards(); ++s) {
+    if (!shards_->shard(s).CanExecuteInline(request.kind)) return false;
+  }
+  return true;
+}
+
+// Runs the shards one after another on the calling thread, nearest tile
+// first. The nearest shard usually holds most of the answer, so it
+// publishes a tight k-th distance to the shared bound before any other
+// shard starts, and every later shard prunes against it from its root on
+// — the paper's strategy 3 one level above the shard roots.
+template <int D>
+void ShardRouter<D>::ScatterInline(const QueryRequest<D>& scattered,
+                                   bool sampled,
+                                   std::span<QueryResponse<D>> answers,
+                                   uint64_t* shard_ns) {
+  const uint32_t n = shards_->num_shards();
+  // Ascending (MINDIST to the tile, shard index); a shard that received
+  // no objects has an empty tile and goes last.
+  thread_local std::vector<std::pair<double, uint32_t>> tls_order;
+  std::vector<std::pair<double, uint32_t>>& order = tls_order;
+  order.clear();
+  for (uint32_t s = 0; s < n; ++s) {
+    const Rect<D>& tile = shards_->tile(s);
+    order.emplace_back(tile.IsEmpty()
+                           ? std::numeric_limits<double>::infinity()
+                           : MinDistSq<D>(scattered.query, tile),
+                       s);
+  }
+  std::sort(order.begin(), order.end());
+  thread_local QueryScratch<D> tls_scratch;
+  for (const auto& [dist_sq, s] : order) {
+    const auto begin = sampled ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point{};
+    shards_->shard(s).ExecuteInline(scattered, &tls_scratch, &answers[s]);
+    // Each shard's span is its own execution, so the straggler is the
+    // shard that took longest, not the one that happened to run last.
+    if (sampled && s < obs::kMaxTraceShards) shard_ns[s] = ElapsedNs(begin);
+  }
+}
+
+
 // Assembles the root spans, one ShardSpan per answer, the slowest-shard
 // queue wait, and the straggler shard into a RouterTraceRecord, then
 // offers it to the trace log (slow ring or sampled reservoir — the log
-// routes by total_ns). For unsampled slow captures `completed_ns` is null
+// routes by total_ns). For unsampled slow captures `shard_ns` is null
 // and the per-shard detail degrades to what every answer carries anyway
 // (execute time + merged stats).
 template <int D>
 void ShardRouter<D>::RecordScatterTrace(
     const QueryRequest<D>& request, bool sampled, uint64_t trace_id,
-    uint64_t root_span_id, const std::vector<QueryResponse<D>>& answers,
-    const uint64_t* completed_ns, uint64_t scatter_ns, uint64_t total_ns,
+    uint64_t root_span_id, std::span<const QueryResponse<D>> answers,
+    const uint64_t* shard_ns, uint64_t scatter_ns, uint64_t total_ns,
     const QueryStats& merged_stats) {
   obs::RouterTraceRecord rec;
   rec.trace_id = trace_id;
@@ -378,7 +457,7 @@ void ShardRouter<D>::RecordScatterTrace(
     span.shard = s;
     span.execute_ns = a.latency_ns;
     span.stats = a.stats;
-    if (completed_ns != nullptr) span.rpc_ns = completed_ns[s];
+    if (shard_ns != nullptr) span.rpc_ns = shard_ns[s];
     if (a.has_trace) {
       span.traced = true;
       span.worker = a.trace.worker;
@@ -387,9 +466,10 @@ void ShardRouter<D>::RecordScatterTrace(
                   sizeof(span.nodes_per_level));
       rec.queue_ns = std::max(rec.queue_ns, span.queue_wait_ns);
     }
-    // Straggler = largest router-observed round trip; without one (slow
-    // capture of an unsampled request) fall back to the shard's own
-    // queue + execute accounting.
+    // Straggler = largest router-side span (queued: submit to fulfilment
+    // of that shard's response; inline: that shard's own execution);
+    // without one (slow capture of an unsampled request) fall back to the
+    // shard's own queue + execute accounting.
     const uint64_t cost =
         span.rpc_ns != 0 ? span.rpc_ns : span.queue_wait_ns + span.execute_ns;
     if (cost > worst) {

@@ -2,6 +2,7 @@
 #define SPATIAL_SHARD_SHARD_ROUTER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,15 @@ namespace spatial {
 // epsilon contract is preserved for kApproxKnn; E19 measures the pages
 // saved.
 //
+// Nearest-first inline kNN (docs/SHARDING.md): a kKnn over shards that
+// are all read-only with a compiled resident tree does not queue to the
+// shard workers. The router runs the shards one after another on the
+// calling thread (QueryService::ExecuteInline), in ascending MINDIST from
+// the query to each shard's tile, with the stack SharedPruneBound
+// planted: later shards start from the nearest shard's k-th distance and
+// usually prune at their roots. Every other request — other kinds,
+// serving-mode or paged shards — takes the queued scatter.
+//
 // Distributed tracing (docs/OBSERVABILITY.md "Distributed traces"): the
 // router is the root of a trace. A scatter-family request is traced when
 // it arrives carrying a sampled wire-v3 trace context (trace_id +
@@ -59,16 +69,19 @@ namespace spatial {
 // context into every scattered copy, each shard force-samples and returns
 // its QueryTraceRecord in the response, and the router assembles one
 // RouterTraceRecord — root spans (queue, scatter, merge), one ShardSpan
-// per shard with the network-vs-execute split, and the straggler shard —
-// into its DistTraceLog. Requests whose scatter-gather round trip crosses
-// the slow threshold are captured in the same log even when unsampled
-// (without the per-shard queue-wait / per-level detail only a sampled
-// round trip carries).
+// per shard with the network-vs-execute split, and the straggler shard
+// (the one with the longest span: submit to fulfilment when queued, its
+// own execution when inline) — into its DistTraceLog. Requests whose
+// scatter-gather round trip crosses the slow threshold are captured in
+// the same log even when unsampled (without the per-shard queue-wait /
+// per-level detail only a sampled round trip carries).
 //
 // Thread-safe: Execute() may be called from any number of threads (the
 // RPC server's connection threads do exactly that); all shared state is
-// the shards' own MPMC queues, the router's lock-free instruments, and
-// the trace log's preallocated mutexed ring.
+// the shards' own MPMC queues and inline lanes, the router's lock-free
+// instruments, and the trace log's preallocated mutexed ring. Answer
+// slots, the merge buffer and the inline scratch arena are per thread,
+// so a warm inline kKnn allocates only the returned neighbor vector.
 template <int D>
 class ShardRouter {
  public:
@@ -109,17 +122,23 @@ class ShardRouter {
 
  private:
   QueryResponse<D> ScatterQuery(const QueryRequest<D>& request);
+  // Whether ScatterQuery runs `request` on the calling thread: a kKnn
+  // over shards that can all execute it inline (read-only, resident tree
+  // compiled). Everything else is queued to the shards' workers.
+  bool RunsInline(const QueryRequest<D>& request) const;
+  void ScatterInline(const QueryRequest<D>& scattered, bool sampled,
+                     std::span<QueryResponse<D>> answers, uint64_t* shard_ns);
   QueryResponse<D> RouteReverseKnn(const QueryRequest<D>& request);
   QueryResponse<D> RouteInsert(const QueryRequest<D>& request);
   QueryResponse<D> Broadcast(const QueryRequest<D>& request);
   void RegisterMetrics();
   // Builds and records the RouterTraceRecord for one scatter round trip.
-  // `completed_ns` holds per-shard router-observed completion times
-  // (null when the request was not sampled).
+  // `shard_ns` holds the per-shard router-side spans (null when the
+  // request was not sampled).
   void RecordScatterTrace(const QueryRequest<D>& request, bool sampled,
                           uint64_t trace_id, uint64_t root_span_id,
-                          const std::vector<QueryResponse<D>>& answers,
-                          const uint64_t* completed_ns, uint64_t scatter_ns,
+                          std::span<const QueryResponse<D>> answers,
+                          const uint64_t* shard_ns, uint64_t scatter_ns,
                           uint64_t total_ns, const QueryStats& merged_stats);
 
   ShardSet<D>* shards_;
@@ -133,6 +152,7 @@ class ShardRouter {
   obs::Counter* rknn_candidates_;     // survivors of the global re-selection
   obs::Counter* rknn_verify_rounds_;  // cross-shard verification kNNs issued
   obs::Counter* traces_assembled_;    // sampled cross-shard traces built
+  obs::Counter* inline_scatters_;     // kNN scatters run on the caller
   obs::PowerHistogram* merge_ns_;
 };
 

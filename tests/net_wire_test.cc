@@ -426,6 +426,28 @@ TEST(WireTest, FramesCrossSocketsIntact) {
   ::close(fds[1]);
 }
 
+// A frame is its 4-byte little-endian length followed by the payload,
+// byte for byte, whether the payload is empty or not.
+TEST(WireTest, FrameBytesAreLengthPrefixThenPayload) {
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  const std::string payload = "\x01\x02frame\xff";
+  ASSERT_TRUE(SendFrame(fds[0], payload).ok());
+  ASSERT_TRUE(SendFrame(fds[0], std::string()).ok());
+  ::close(fds[0]);
+
+  std::string raw;
+  char buf[64];
+  for (ssize_t n; (n = ::read(fds[1], buf, sizeof(buf))) > 0;) {
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fds[1]);
+  std::string want = {static_cast<char>(payload.size()), 0, 0, 0};
+  want += payload;
+  want += std::string(4, '\0');
+  EXPECT_EQ(raw, want);
+}
+
 TEST(WireTest, OversizedFrameLengthRejected) {
   int fds[2];
   ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));

@@ -354,6 +354,42 @@ TEST(ServingServiceTest, WritesAndQueriesEndToEnd) {
   CleanupDb(path);
 }
 
+// The service's checkpoint counter covers every checkpoint the database
+// completed: the one Open runs, the ones WAL rotation triggers inside a
+// write batch, and explicit kCheckpoint requests.
+TEST(ServingServiceTest, CheckpointCounterIncludesWalRotations) {
+  const std::string path = TempPath("serving_checkpoints.sdb");
+  CleanupDb(path);
+  ServingOptions serving;
+  serving.wal_segment_bytes = 4096;
+  QueryService<2>::Options options;
+  options.num_workers = 1;
+  auto service = QueryService<2>::OpenServing(path, serving, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  QueryService<2>& svc = **service;
+
+  Rng rng(29);
+  for (uint64_t id = 1; id <= 300; ++id) {
+    const Rect<2> box =
+        UnitBox(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0));
+    ASSERT_TRUE(svc.Execute(QueryRequest<2>::Insert(box, id)).ok());
+  }
+  // Open's checkpoint plus at least two rotations.
+  const uint64_t after_writes = svc.serving_db()->checkpoints();
+  ASSERT_GE(after_writes, 3u);
+  EXPECT_EQ(svc.Snapshot().checkpoints, after_writes);
+
+  ASSERT_TRUE(svc.Execute(QueryRequest<2>::Checkpoint()).ok());
+  EXPECT_EQ(svc.serving_db()->checkpoints(), after_writes + 1);
+  EXPECT_EQ(svc.Snapshot().checkpoints, after_writes + 1);
+  EXPECT_NE(svc.ScrapeMetrics().find("spatial_checkpoints_total " +
+                                     std::to_string(after_writes + 1) + "\n"),
+            std::string::npos);
+
+  svc.Shutdown();
+  CleanupDb(path);
+}
+
 TEST(ServingServiceTest, WritesRejectedOnReadOnlyService) {
   const std::string path = TempPath("serving_readonly.sdb");
   CleanupDb(path);

@@ -25,6 +25,8 @@
 #include "obs/trace.h"
 #include "rtree/bulk_load.h"
 #include "rtree/node.h"
+#include "shard/shard_router.h"
+#include "shard/shard_set.h"
 #include "storage/resident_tree.h"
 #include "tests/test_util.h"
 
@@ -392,6 +394,45 @@ TEST(ZeroAllocTest, ResidentKnnSearchIntoIsAllocationFreeWhenWarm) {
     EXPECT_EQ(delta.allocations, 0u)
         << "resident k=" << k << ": " << delta.bytes
         << " bytes allocated in steady state";
+  }
+}
+
+// The in-process router over 4 resident shards runs kKnn inline on the
+// calling thread, with per-thread answer slots, merge buffer and scratch
+// arena, so a warm query allocates exactly once: the merged neighbor
+// vector it returns. That holds when one thread alternates between
+// routers of different widths, too.
+TEST(ZeroAllocTest, InlineRouterKnnAllocatesOnlyTheAnswer) {
+  Fixture f;
+  ShardSet<2>::Options options;
+  options.service.num_workers = 1;
+  options.num_shards = 4;
+  auto set4 = ShardSet<2>::Build(f.data, options);
+  ASSERT_TRUE(set4.ok()) << set4.status().ToString();
+  options.num_shards = 1;
+  auto set1 = ShardSet<2>::Build(f.data, options);
+  ASSERT_TRUE(set1.ok()) << set1.status().ToString();
+  ShardRouter<2> router4(set4->get());
+  ShardRouter<2> router1(set1->get());
+
+  for (uint32_t k : {1u, 10u}) {
+    const auto run = [&] {
+      bool all_ok = true;
+      for (const Point2& q : f.queries) {
+        all_ok &= router4.Execute(QueryRequest<2>::Knn(q, k)).ok();
+        all_ok &= router1.Execute(QueryRequest<2>::Knn(q, k)).ok();
+      }
+      return all_ok;
+    };
+    ASSERT_TRUE(run());  // warm pass
+
+    const AllocCounts before = ThreadAllocCounts();
+    const bool all_ok = run();
+    const AllocCounts delta = ThreadAllocCounts() - before;
+    ASSERT_TRUE(all_ok);
+    EXPECT_LE(delta.allocations, 2 * f.queries.size())
+        << "routers k=" << k << ": " << delta.allocations
+        << " allocations for " << 2 * f.queries.size() << " queries";
   }
 }
 

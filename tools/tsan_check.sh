@@ -8,9 +8,10 @@
 # shared prune-bound streaming + live metrics scraping), the advanced
 # query kinds' cross-shard merge paths (reverse-kNN verification rounds,
 # skyline re-merge, approx contract merge), the resident tier's
-# publish/invalidate/recompile-under-write-load race coverage, and the
+# publish/invalidate/recompile-under-write-load race coverage, the
 # distributed-trace test (sampled scatter-gather over RPC with concurrent
-# remote admin scrapes against the live trace log).
+# remote admin scrapes against the live trace log), and the inline
+# scatter test (nearest-first kNN on the caller's thread, inline lanes).
 #
 # Usage: tools/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -23,12 +24,13 @@ cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=thread \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target query_service_test service_stress_test serving_stress_test \
   io_stats_test obs_metrics_test metrics_scrape_test shard_stress_test \
-  resident_tree_test advanced_shard_test distributed_trace_test
+  resident_tree_test advanced_shard_test distributed_trace_test \
+  inline_scatter_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 for t in io_stats_test obs_metrics_test query_service_test \
          service_stress_test shard_stress_test resident_tree_test \
-         advanced_shard_test distributed_trace_test; do
+         advanced_shard_test distributed_trace_test inline_scatter_test; do
   echo "=== TSan: $t ==="
   "$BUILD_DIR/tests/$t"
 done
