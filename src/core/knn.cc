@@ -813,16 +813,23 @@ template <int D, class Access>
 Status KnnSearchBatchImpl(const Access& access, PageId root_page, bool empty,
                           const Point<D>* queries, size_t num_queries,
                           const KnnOptions& options, QueryScratch<D>* scratch,
-                          BatchKnnResult* out) {
+                          BatchKnnResult* out,
+                          SharedPruneBound* const* bounds) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
+  if (options.shared_bound != nullptr) {
+    return Status::InvalidArgument(
+        "a kNN batch takes per-query bounds, not one shared bound");
+  }
   out->Clear();
   out->offsets.push_back(0);
+  KnnOptions query_options = options;
   for (size_t q = 0; q < num_queries; ++q) {
     out->stats.emplace_back();
     if (!empty) {
+      query_options.shared_bound = bounds != nullptr ? bounds[q] : nullptr;
       DepthFirstKnn<D, Access, /*kObserved=*/true> search(
-          access, root_page, queries[q], options, scratch,
+          access, root_page, queries[q], query_options, scratch,
           &out->stats.back());
       SPATIAL_RETURN_IF_ERROR(search.Run(&out->neighbors, /*append=*/true));
     }
@@ -866,19 +873,21 @@ Result<std::vector<Neighbor>> KnnSearch(const RTree<D>& tree,
 template <int D>
 Status KnnSearchBatch(const RTree<D>& tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out) {
+                      QueryScratch<D>* scratch, BatchKnnResult* out,
+                      SharedPruneBound* const* bounds) {
   return KnnSearchBatchImpl<D>(PagedAccess<D>(tree), tree.root_page(),
                                tree.empty(), queries, num_queries, options,
-                               scratch, out);
+                               scratch, out, bounds);
 }
 
 template <int D>
 Status KnnSearchBatch(const ResidentTree<D>& tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out) {
+                      QueryScratch<D>* scratch, BatchKnnResult* out,
+                      SharedPruneBound* const* bounds) {
   return KnnSearchBatchImpl<D>(ResidentAccess<D>(tree), tree.root_page(),
                                tree.empty(), queries, num_queries, options,
-                               scratch, out);
+                               scratch, out, bounds);
 }
 
 template Result<std::vector<Neighbor>> KnnSearch<2>(const RTree<2>&,
@@ -916,22 +925,22 @@ template Status KnnSearchInto<4>(const ResidentTree<4>&, const Point<4>&,
 
 template Status KnnSearchBatch<2>(const RTree<2>&, const Point<2>*, size_t,
                                   const KnnOptions&, QueryScratch<2>*,
-                                  BatchKnnResult*);
+                                  BatchKnnResult*, SharedPruneBound* const*);
 template Status KnnSearchBatch<3>(const RTree<3>&, const Point<3>*, size_t,
                                   const KnnOptions&, QueryScratch<3>*,
-                                  BatchKnnResult*);
+                                  BatchKnnResult*, SharedPruneBound* const*);
 template Status KnnSearchBatch<4>(const RTree<4>&, const Point<4>*, size_t,
                                   const KnnOptions&, QueryScratch<4>*,
-                                  BatchKnnResult*);
+                                  BatchKnnResult*, SharedPruneBound* const*);
 
 template Status KnnSearchBatch<2>(const ResidentTree<2>&, const Point<2>*,
                                   size_t, const KnnOptions&, QueryScratch<2>*,
-                                  BatchKnnResult*);
+                                  BatchKnnResult*, SharedPruneBound* const*);
 template Status KnnSearchBatch<3>(const ResidentTree<3>&, const Point<3>*,
                                   size_t, const KnnOptions&, QueryScratch<3>*,
-                                  BatchKnnResult*);
+                                  BatchKnnResult*, SharedPruneBound* const*);
 template Status KnnSearchBatch<4>(const ResidentTree<4>&, const Point<4>*,
                                   size_t, const KnnOptions&, QueryScratch<4>*,
-                                  BatchKnnResult*);
+                                  BatchKnnResult*, SharedPruneBound* const*);
 
 }  // namespace spatial

@@ -57,7 +57,8 @@ struct KnnOptions {
   // once its buffer is full. Results are unchanged — the bound can only
   // discard objects beyond the global k-th neighbor (see
   // core/shared_bound.h for the argument) — but laggard shards skip work.
-  // Standalone (single-tree) callers leave it null.
+  // Standalone (single-tree) callers leave it null. KnnSearchBatch
+  // rejects it; a batch takes one bound per query instead.
   SharedPruneBound* shared_bound = nullptr;
 
   // Distance-bounded kNN: only objects at distance <= max_distance qualify
@@ -164,16 +165,25 @@ struct BatchKnnResult {
 // per-query setup. Results are identical to issuing the queries one by one
 // through KnnSearch (the batch is an execution strategy, not a different
 // algorithm). `scratch` and `out` must be non-null.
+//
+// Cross-shard bounds are per query: when `bounds` is non-null it holds one
+// pointer per query (entries may be null), and query i prunes against and
+// publishes into *bounds[i] exactly as a single search does with
+// options.shared_bound. One options.shared_bound for the whole batch is
+// InvalidArgument — it would let a query prune against another query's
+// k-th distance and lose true neighbors.
 template <int D>
 Status KnnSearchBatch(const RTree<D>& tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out);
+                      QueryScratch<D>* scratch, BatchKnnResult* out,
+                      SharedPruneBound* const* bounds = nullptr);
 
 // Resident-tier batch variant (see the ResidentTree KnnSearchInto above).
 template <int D>
 Status KnnSearchBatch(const ResidentTree<D>& tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out);
+                      QueryScratch<D>* scratch, BatchKnnResult* out,
+                      SharedPruneBound* const* bounds = nullptr);
 
 extern template Result<std::vector<Neighbor>> KnnSearch<2>(
     const RTree<2>&, const Point<2>&, const KnnOptions&, QueryStats*);
@@ -207,26 +217,32 @@ extern template Status KnnSearchInto<4>(const ResidentTree<4>&,
 
 extern template Status KnnSearchBatch<2>(const RTree<2>&, const Point<2>*,
                                          size_t, const KnnOptions&,
-                                         QueryScratch<2>*, BatchKnnResult*);
+                                         QueryScratch<2>*, BatchKnnResult*,
+                                         SharedPruneBound* const*);
 extern template Status KnnSearchBatch<3>(const RTree<3>&, const Point<3>*,
                                          size_t, const KnnOptions&,
-                                         QueryScratch<3>*, BatchKnnResult*);
+                                         QueryScratch<3>*, BatchKnnResult*,
+                                         SharedPruneBound* const*);
 extern template Status KnnSearchBatch<4>(const RTree<4>&, const Point<4>*,
                                          size_t, const KnnOptions&,
-                                         QueryScratch<4>*, BatchKnnResult*);
+                                         QueryScratch<4>*, BatchKnnResult*,
+                                         SharedPruneBound* const*);
 
 extern template Status KnnSearchBatch<2>(const ResidentTree<2>&,
                                          const Point<2>*, size_t,
                                          const KnnOptions&, QueryScratch<2>*,
-                                         BatchKnnResult*);
+                                         BatchKnnResult*,
+                                         SharedPruneBound* const*);
 extern template Status KnnSearchBatch<3>(const ResidentTree<3>&,
                                          const Point<3>*, size_t,
                                          const KnnOptions&, QueryScratch<3>*,
-                                         BatchKnnResult*);
+                                         BatchKnnResult*,
+                                         SharedPruneBound* const*);
 extern template Status KnnSearchBatch<4>(const ResidentTree<4>&,
                                          const Point<4>*, size_t,
                                          const KnnOptions&, QueryScratch<4>*,
-                                         BatchKnnResult*);
+                                         BatchKnnResult*,
+                                         SharedPruneBound* const*);
 
 }  // namespace spatial
 

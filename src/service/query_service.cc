@@ -583,13 +583,13 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
             response.status = KnnSearchBatch<D>(
                 *resident, request.batch_queries.data(),
                 request.batch_queries.size(), request.knn, scratch,
-                &batch);
+                &batch, request.batch_bounds);
           },
           [&] {
             response.status = KnnSearchBatch<D>(
                 *tree, request.batch_queries.data(),
                 request.batch_queries.size(), request.knn, scratch,
-                &batch);
+                &batch, request.batch_bounds);
           });
       if (response.status.ok()) {
         response.neighbors = std::move(batch.neighbors);

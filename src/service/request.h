@@ -115,6 +115,11 @@ struct QueryRequest {
   uint32_t top_k = 1;                  // kTopK result count
   std::vector<Point<D>> batch_queries;  // kBatchKnn queries, kNnSkyline
                                         // source points
+  // kBatchKnn, in-process only, never on the wire: null, or one
+  // SharedPruneBound pointer per batch query (KnnSearchBatch's `bounds`).
+  // The shard router's owner-first batch scatter sets it; the pointed-to
+  // bounds must outlive the request's execution.
+  SharedPruneBound* const* batch_bounds = nullptr;
   uint64_t object_id = 0;              // kInsert / kDelete object id
   // kReverseKnn scatter support: stop after sector candidate generation
   // and return the candidates (with geometry) as `entries` — the shard

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -188,9 +189,22 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   // region and the incremental top-k scan does not take KnnOptions. For
   // kApproxKnn the published bounds are exact (unrelaxed) local k-th
   // distances, so streaming tightens pruning without widening the
-  // (1+epsilon) contract.
+  // (1+epsilon) contract. A batch streams one bound per query instead
+  // (ScatterOwnerFirst); an empty batch has nothing to bound and scatters
+  // as it is.
   SharedPruneBound bound;
-  QueryRequest<D> scattered = request;
+  const bool owner_first = options_.stream_bound &&
+                           request.kind == QueryKind::kBatchKnn &&
+                           !request.batch_queries.empty();
+  QueryRequest<D> scattered;
+  if (owner_first) {
+    // The header of every sub-batch; the phases add their own queries, so
+    // copying the whole batch here would be wasted.
+    scattered.kind = request.kind;
+    scattered.knn = request.knn;
+  } else {
+    scattered = request;
+  }
   if (options_.stream_bound && (request.kind == QueryKind::kKnn ||
                                 request.kind == QueryKind::kApproxKnn)) {
     scattered.knn.shared_bound = &bound;
@@ -207,19 +221,30 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
   // keeps its neighbor vector's capacity from the previous call; they
   // only ever grow, so routers of different widths on one thread share
   // them without reallocating. Queued answers (possibly large ranges or
-  // batches) are not kept.
+  // batches) are not kept. An owner-first batch takes 2n slots: each
+  // shard's owned sub-batch answer, then its non-owned one (`rest`).
   thread_local std::vector<QueryResponse<D>> tls_inline_answers;
   std::vector<QueryResponse<D>> queued_answers;
   const bool run_inline = RunsInline(request);
   std::vector<QueryResponse<D>>& slots =
       run_inline ? tls_inline_answers : queued_answers;
-  if (slots.size() < n) slots.resize(n);
+  const uint32_t num_slots = owner_first ? 2 * n : n;
+  if (slots.size() < num_slots) slots.resize(num_slots);
   const std::span<QueryResponse<D>> answers(slots.data(), n);
+  const std::span<QueryResponse<D>> rest =
+      owner_first ? std::span<QueryResponse<D>>(slots.data() + n, n)
+                  : std::span<QueryResponse<D>>();
+  // Each batch query's owner shard, kept per thread for the merge.
+  thread_local std::vector<uint32_t> tls_owner;
   // Per-shard router-side spans, taken only for sampled requests.
   uint64_t shard_ns[obs::kMaxTraceShards] = {};
+  uint64_t owner_first_latency_ns = 0;
   if (run_inline) {
     inline_scatters_->Inc();
     ScatterInline(scattered, sampled, answers, shard_ns);
+  } else if (owner_first) {
+    ScatterOwnerFirst(request.batch_queries, scattered, sampled, answers,
+                      rest, &tls_owner, shard_ns, &owner_first_latency_ns);
   } else {
     std::vector<std::future<QueryResponse<D>>> futures;
     futures.reserve(n);
@@ -252,6 +277,8 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
                             ? merged.latency_ns + a.latency_ns
                             : std::max(merged.latency_ns, a.latency_ns);
   }
+  // An owner-first batch's phases run one after the other.
+  if (owner_first) merged.latency_ns = owner_first_latency_ns;
   if (!merged.status.ok()) {
     const uint64_t total_ns = ElapsedNs(start);
     merge_ns_->Record(total_ns);
@@ -301,16 +328,37 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
     case QueryKind::kBatchKnn: {
       const uint32_t k = request.knn.k;
       const size_t num_queries = request.batch_queries.size();
-      std::vector<Neighbor> scratch;
+      size_t candidates = 0;
+      for (const auto& a : answers) candidates += a.neighbors.size();
+      for (const auto& a : rest) candidates += a.neighbors.size();
+      merged.neighbors.reserve(
+          std::min<size_t>(candidates, num_queries * size_t{k}));
       merged.batch_offsets.reserve(num_queries + 1);
       merged.batch_offsets.push_back(0);
+      thread_local std::vector<Neighbor> tls_scratch;
+      std::vector<Neighbor>& scratch = tls_scratch;
+      // Slice `slice` of one shard's CSR-packed answer.
+      const auto append = [&](const QueryResponse<D>& a, uint32_t slice) {
+        scratch.insert(scratch.end(),
+                       a.neighbors.begin() + a.batch_offsets[slice],
+                       a.neighbors.begin() + a.batch_offsets[slice + 1]);
+      };
+      // Owner-first: query q is the next slice of its owner's owned answer
+      // and the next slice of every other shard's `rest` answer, so one
+      // cursor per answer walks the slices in query order.
+      thread_local std::vector<uint32_t> tls_cursor;
+      std::vector<uint32_t>& cursor = tls_cursor;
+      cursor.assign(2 * size_t{n}, 0);
       for (size_t q = 0; q < num_queries; ++q) {
         scratch.clear();
-        for (const auto& a : answers) {
-          const uint32_t lo = a.batch_offsets[q];
-          const uint32_t hi = a.batch_offsets[q + 1];
-          scratch.insert(scratch.end(), a.neighbors.begin() + lo,
-                         a.neighbors.begin() + hi);
+        if (!owner_first) {
+          for (const auto& a : answers) append(a, static_cast<uint32_t>(q));
+        } else {
+          const uint32_t owner = tls_owner[q];
+          append(answers[owner], cursor[owner]++);
+          for (uint32_t s = 0; s < n; ++s) {
+            if (s != owner) append(rest[s], cursor[n + s]++);
+          }
         }
         std::sort(scratch.begin(), scratch.end(), NeighborLess);
         if (scratch.size() > k) scratch.resize(k);
@@ -382,6 +430,13 @@ QueryResponse<D> ShardRouter<D>::ScatterQuery(const QueryRequest<D>& request) {
 }
 
 template <int D>
+double ShardRouter<D>::TileDistSq(uint32_t shard, const Point<D>& q) const {
+  const Rect<D>& tile = shards_->tile(shard);
+  return tile.IsEmpty() ? std::numeric_limits<double>::infinity()
+                        : MinDistSq<D>(q, tile);
+}
+
+template <int D>
 bool ShardRouter<D>::RunsInline(const QueryRequest<D>& request) const {
   if (request.kind != QueryKind::kKnn) return false;
   for (uint32_t s = 0; s < shards_->num_shards(); ++s) {
@@ -407,11 +462,7 @@ void ShardRouter<D>::ScatterInline(const QueryRequest<D>& scattered,
   std::vector<std::pair<double, uint32_t>>& order = tls_order;
   order.clear();
   for (uint32_t s = 0; s < n; ++s) {
-    const Rect<D>& tile = shards_->tile(s);
-    order.emplace_back(tile.IsEmpty()
-                           ? std::numeric_limits<double>::infinity()
-                           : MinDistSq<D>(scattered.query, tile),
-                       s);
+    order.emplace_back(TileDistSq(s, scattered.query), s);
   }
   std::sort(order.begin(), order.end());
   thread_local QueryScratch<D> tls_scratch;
@@ -425,6 +476,132 @@ void ShardRouter<D>::ScatterInline(const QueryRequest<D>& scattered,
   }
 }
 
+// Runs a non-empty kBatchKnn in two queued phases (docs/SHARDING.md
+// "Owner-first batch kNN"). Phase 1 sends every query to its owner only —
+// the shard whose tile is nearest, in ScatterInline's order — and each
+// query publishes its owner's k-th distance into its own bound. Phase 2
+// sends every shard the queries it does not own, each with its bound
+// planted, so most of them prune at the shard's root. Tiles are not
+// updated by inserts, so no (query, shard) pair is skipped by tile; the
+// root check does that work. A phase's empty sub-batch is not submitted,
+// and a failed phase 1 ends the scatter. Afterwards `owned[s]` carries
+// shard s's status, stats, latency, trace queue wait and per-level counts
+// summed over both phases (its neighbors stay the owned answer's), `shard_ns[s]` sums the shard's two
+// router-side spans, and `latency_ns` is the critical path: each phase's
+// slowest shard, added.
+template <int D>
+void ShardRouter<D>::ScatterOwnerFirst(const std::vector<Point<D>>& queries,
+                                       const QueryRequest<D>& header,
+                                       bool sampled,
+                                       std::span<QueryResponse<D>> owned,
+                                       std::span<QueryResponse<D>> rest,
+                                       std::vector<uint32_t>* owner,
+                                       uint64_t* shard_ns,
+                                       uint64_t* latency_ns) {
+  const uint32_t n = shards_->num_shards();
+  const size_t num_queries = queries.size();
+  // Per-thread, grow-only: one bound per query, the bound pointers of one
+  // phase's sub-batches, and the per-shard owned counts and futures.
+  // Every search holding a pointer into them has finished before this
+  // function returns, so the next call on this thread may reuse them.
+  thread_local std::unique_ptr<SharedPruneBound[]> tls_bounds;
+  thread_local size_t tls_bounds_size = 0;
+  thread_local std::vector<SharedPruneBound*> tls_bound_ptrs;
+  thread_local std::vector<uint32_t> tls_owned_count;
+  thread_local std::vector<std::future<QueryResponse<D>>> tls_futures;
+  if (tls_bounds_size < num_queries) {
+    tls_bounds = std::make_unique<SharedPruneBound[]>(num_queries);
+    tls_bounds_size = num_queries;
+  }
+  SharedPruneBound* bounds = tls_bounds.get();
+  std::vector<uint32_t>& owned_count = tls_owned_count;
+  owned_count.assign(n, 0);
+  owner->resize(num_queries);
+  for (size_t q = 0; q < num_queries; ++q) {
+    bounds[q].Reset();
+    // Ascending (MINDIST, shard index), empty tiles last: the first
+    // strictly nearer tile wins.
+    uint32_t best = 0;
+    double best_sq = TileDistSq(0, queries[q]);
+    for (uint32_t s = 1; s < n; ++s) {
+      const double d = TileDistSq(s, queries[q]);
+      if (d < best_sq) {
+        best_sq = d;
+        best = s;
+      }
+    }
+    (*owner)[q] = best;
+    ++owned_count[best];
+  }
+  // Phase 1 points at every query once, phase 2 at n - 1 copies of each.
+  tls_bound_ptrs.resize(num_queries * std::max(n - 1, 1u));
+
+  const auto run_phase = [&](bool owned_phase,
+                             std::span<QueryResponse<D>> answers) {
+    const auto begin = std::chrono::steady_clock::now();
+    std::vector<std::future<QueryResponse<D>>>& futures = tls_futures;
+    futures.clear();
+    SharedPruneBound** ptrs = tls_bound_ptrs.data();
+    for (uint32_t s = 0; s < n; ++s) {
+      const size_t size =
+          owned_phase ? owned_count[s] : num_queries - owned_count[s];
+      if (size == 0) {
+        futures.emplace_back();  // not submitted; stays invalid
+        continue;
+      }
+      QueryRequest<D> sub = header;
+      sub.batch_queries.reserve(size);
+      sub.batch_bounds = ptrs;
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (((*owner)[q] == s) == owned_phase) {
+          sub.batch_queries.push_back(queries[q]);
+          *ptrs++ = &bounds[q];
+        }
+      }
+      futures.push_back(shards_->shard(s).Submit(std::move(sub)));
+    }
+    const uint64_t begin_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            begin.time_since_epoch())
+            .count());
+    bool ok = true;
+    uint64_t slowest_ns = 0;
+    for (uint32_t s = 0; s < n; ++s) {
+      if (!futures[s].valid()) continue;
+      answers[s] = futures[s].get();
+      ok = ok && answers[s].ok();
+      slowest_ns = std::max(slowest_ns, answers[s].latency_ns);
+      if (sampled && s < obs::kMaxTraceShards) {
+        const uint64_t done = answers[s].completed_at_ns;
+        shard_ns[s] += done > begin_ns ? done - begin_ns : 0;
+      }
+    }
+    *latency_ns += slowest_ns;
+    return ok;
+  };
+  if (!run_phase(/*owned_phase=*/true, owned)) return;
+  run_phase(/*owned_phase=*/false, rest);
+
+  for (uint32_t s = 0; s < n; ++s) {
+    if (owned_count[s] == num_queries) continue;  // no phase 2 here
+    QueryResponse<D>& a = owned[s];
+    const QueryResponse<D>& b = rest[s];
+    if (!b.status.ok() && a.status.ok()) a.status = b.status;
+    a.stats.Add(b.stats);
+    a.latency_ns += b.latency_ns;
+    if (b.has_trace) {
+      if (!a.has_trace) {
+        a.trace = b.trace;
+        a.has_trace = true;
+      } else {
+        a.trace.queue_wait_ns += b.trace.queue_wait_ns;
+        for (int l = 0; l < obs::kTraceMaxLevels; ++l) {
+          a.trace.nodes_per_level[l] += b.trace.nodes_per_level[l];
+        }
+      }
+    }
+  }
+}
 
 // Assembles the root spans, one ShardSpan per answer, the slowest-shard
 // queue wait, and the straggler shard into a RouterTraceRecord, then

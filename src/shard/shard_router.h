@@ -26,7 +26,9 @@ namespace spatial {
 //     all shards, merge by (dist_sq, id) truncated to k (per query for the
 //     batch kind). The approximate merge keeps the epsilon contract: the
 //     merged k-th distance never exceeds any shard's local k-th, and every
-//     shard's answers individually satisfy r <= (1+eps) * t.
+//     shard's answers individually satisfy r <= (1+eps) * t. A non-empty
+//     kBatchKnn with Options::stream_bound scatters owner-first, in two
+//     phases (see below).
 //   * kRange — scatter, merge by object id.
 //   * kNnSkyline — scatter, union the per-shard skylines, re-apply the
 //     dominance filter over the union (the global skyline is a subset of
@@ -61,6 +63,17 @@ namespace spatial {
 // usually prune at their roots. Every other request — other kinds,
 // serving-mode or paged shards — takes the queued scatter.
 //
+// Owner-first batch kNN (docs/SHARDING.md): with Options::stream_bound, a
+// non-empty kBatchKnn takes the queued scatter twice, on every backend.
+// Phase 1 sends each query to its owner only — the shard with the nearest
+// tile, in the inline order — and the query publishes the owner's k-th
+// distance into its own SharedPruneBound (QueryRequest::batch_bounds,
+// never on the wire). Phase 2 sends each shard the queries it does not
+// own with their bounds planted, so most prune at the shard root. Each
+// query merges its owner slice with its other-shard slices by
+// (dist_sq, id). A shard runs one execution per non-empty phase; its
+// trace span, stats and latency sum both.
+//
 // Distributed tracing (docs/OBSERVABILITY.md "Distributed traces"): the
 // router is the root of a trace. A scatter-family request is traced when
 // it arrives carrying a sampled wire-v3 trace context (trace_id +
@@ -70,8 +83,9 @@ namespace spatial {
 // its QueryTraceRecord in the response, and the router assembles one
 // RouterTraceRecord — root spans (queue, scatter, merge), one ShardSpan
 // per shard with the network-vs-execute split, and the straggler shard
-// (the one with the longest span: submit to fulfilment when queued, its
-// own execution when inline) — into its DistTraceLog. Requests whose
+// (the one with the longest span: submit to fulfilment when queued —
+// summed over both phases of an owner-first batch — its own execution
+// when inline) — into its DistTraceLog. Requests whose
 // scatter-gather round trip crosses the slow threshold are captured in
 // the same log even when unsampled (without the per-shard queue-wait /
 // per-level detail only a sampled round trip carries).
@@ -81,7 +95,8 @@ namespace spatial {
 // the shards' own MPMC queues and inline lanes, the router's lock-free
 // instruments, and the trace log's preallocated mutexed ring. Answer
 // slots, the merge buffer and the inline scratch arena are per thread,
-// so a warm inline kKnn allocates only the returned neighbor vector.
+// so a warm inline kKnn allocates only the returned neighbor vector; so
+// are a batch's owners, per-query bounds and bound pointers.
 template <int D>
 class ShardRouter {
  public:
@@ -128,6 +143,18 @@ class ShardRouter {
   bool RunsInline(const QueryRequest<D>& request) const;
   void ScatterInline(const QueryRequest<D>& scattered, bool sampled,
                      std::span<QueryResponse<D>> answers, uint64_t* shard_ns);
+  // The two-phase kBatchKnn scatter; `header` is the sub-batch template
+  // (kind, KnnOptions, trace context) and `owner` receives each query's
+  // owner shard for the merge.
+  void ScatterOwnerFirst(const std::vector<Point<D>>& queries,
+                         const QueryRequest<D>& header, bool sampled,
+                         std::span<QueryResponse<D>> owned,
+                         std::span<QueryResponse<D>> rest,
+                         std::vector<uint32_t>* owner, uint64_t* shard_ns,
+                         uint64_t* latency_ns);
+  // Squared MINDIST from `q` to shard `shard`'s tile; +inf for an empty
+  // tile, so shards that received no objects order last.
+  double TileDistSq(uint32_t shard, const Point<D>& q) const;
   QueryResponse<D> RouteReverseKnn(const QueryRequest<D>& request);
   QueryResponse<D> RouteInsert(const QueryRequest<D>& request);
   QueryResponse<D> Broadcast(const QueryRequest<D>& request);

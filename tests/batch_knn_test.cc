@@ -193,6 +193,80 @@ TEST(BatchKnnTest, ZeroQueriesIsANoOp) {
   EXPECT_EQ(batch.num_queries(), 0u);
 }
 
+// One SharedPruneBound handed to a whole batch would let a later query
+// prune against an earlier query's k-th distance. Here query 0 sits in a
+// dense cluster (tiny k-th distance) and query 1 far from it (large k-th
+// distance): sharing the bound would cut query 1's answer short, so the
+// batch must refuse a single shared bound outright.
+TEST(BatchKnnTest, OneSharedBoundOnABatchIsRejected) {
+  std::vector<Entry<2>> data;
+  Rng rng(21);
+  for (uint64_t i = 0; i < 400; ++i) {
+    const double x = i < 300 ? rng.Uniform(0.10, 0.11) : rng.Uniform(0.5, 1.0);
+    const double y = i < 300 ? rng.Uniform(0.10, 0.11) : rng.Uniform(0.5, 1.0);
+    data.push_back(Entry<2>{Rect<2>::FromPoint(Point2{{x, y}}), i});
+  }
+  TestIndex2D index(/*page_size=*/512, /*buffer_pages=*/256);
+  index.InsertAll(data);
+  const std::vector<Point2> queries = {Point2{{0.105, 0.105}},
+                                       Point2{{0.75, 0.75}}};
+  SharedPruneBound bound;
+  KnnOptions options;
+  options.k = 5;
+  options.shared_bound = &bound;
+  QueryScratch<2> scratch;
+  BatchKnnResult batch;
+  const Status status = KnnSearchBatch<2>(*index.tree, queries.data(),
+                                          queries.size(), options, &scratch,
+                                          &batch);
+  ASSERT_TRUE(status.IsInvalidArgument())
+      << "accepted (" << status.ToString() << "); query 1 got "
+      << (batch.num_queries() == 2 ? batch.Query(1).second : 0) << " of "
+      << options.k << " neighbors";
+}
+
+// Per-query bounds: each query prunes against and publishes into its own
+// bound only. Half the bounds start at the query's exact k-th distance
+// (what an owner shard would publish); the answers must equal the
+// unbounded sequential ones, the pre-tightened queries must cost no more
+// pages, and every fresh bound must end at its own query's k-th distance.
+TEST(BatchKnnTest, PerQueryBoundsKeepAnswersAndPublishPerQuery) {
+  auto data = UniformData(3000, /*seed=*/61);
+  TestIndex2D index(/*page_size=*/512, /*buffer_pages=*/256);
+  index.InsertAll(data);
+  const auto queries = UniformQueries(data, 40, /*seed=*/62);
+  KnnOptions options;
+  options.k = 6;
+  QueryScratch<2> scratch;
+  BatchKnnResult unbounded;
+  ASSERT_TRUE(KnnSearchBatch<2>(*index.tree, queries.data(), queries.size(),
+                                options, &scratch, &unbounded)
+                  .ok());
+
+  std::vector<SharedPruneBound> bounds(queries.size());
+  std::vector<SharedPruneBound*> ptrs;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto [nbrs, count] = unbounded.Query(i);
+    ASSERT_EQ(count, options.k);
+    if (i % 2 == 0) bounds[i].TightenSq(nbrs[count - 1].dist_sq);
+    ptrs.push_back(&bounds[i]);
+  }
+  BatchKnnResult bounded;
+  ASSERT_TRUE(KnnSearchBatch<2>(*index.tree, queries.data(), queries.size(),
+                                options, &scratch, &bounded, ptrs.data())
+                  .ok());
+  ASSERT_EQ(bounded.offsets, unbounded.offsets);
+  ExpectNeighborsIdentical(bounded.neighbors.data(),
+                           unbounded.neighbors.data(),
+                           unbounded.neighbors.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto [nbrs, count] = unbounded.Query(i);
+    EXPECT_EQ(bounds[i].LoadSq(), nbrs[count - 1].dist_sq) << "query " << i;
+    EXPECT_LE(bounded.stats[i].nodes_visited,
+              unbounded.stats[i].nodes_visited);
+  }
+}
+
 // MINDIST ordering takes the lazy-heap ABL path; `force_full_sort`
 // switches back to full sorting. Both must visit the exact same node
 // sequence — the heap is an evaluation-order optimization, not a

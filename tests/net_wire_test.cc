@@ -134,6 +134,34 @@ TEST(WireTest, TraceContextAndDeadlineRoundTrip) {
   EXPECT_EQ(plain.deadline_budget_ns, 0u);
 }
 
+// The router's per-query batch bounds are in-process pointers, like a
+// response's completed_at_ns: they never reach the wire, so a batch
+// encodes to the same bytes with or without them and decodes without them.
+TEST(WireTest, BatchBoundsAreInProcessOnly) {
+  const QueryRequest<2> plain =
+      QueryRequest<2>::BatchKnn({{{0.1, 0.1}}, {{0.9, 0.8}}}, 3);
+  SharedPruneBound bounds[2];
+  bounds[0].TightenSq(0.25);
+  SharedPruneBound* const ptrs[2] = {&bounds[0], &bounds[1]};
+  QueryRequest<2> bounded = plain;
+  bounded.batch_bounds = ptrs;
+  std::string plain_bytes;
+  std::string bounded_bytes;
+  EncodeRequest<2>(plain, &plain_bytes);
+  EncodeRequest<2>(bounded, &bounded_bytes);
+  EXPECT_EQ(bounded_bytes, plain_bytes);
+  EXPECT_EQ(RoundTripRequest(bounded).batch_bounds, nullptr);
+
+  QueryResponse<2> response;
+  response.completed_at_ns = 123456789;
+  std::string response_bytes;
+  EncodeResponse<2>(response, &response_bytes);
+  response.completed_at_ns = 0;
+  std::string unstamped_bytes;
+  EncodeResponse<2>(response, &unstamped_bytes);
+  EXPECT_EQ(response_bytes, unstamped_bytes);
+}
+
 TEST(WireTest, RejectsBadTraceSampledFlag) {
   QueryRequest<2> in = QueryRequest<2>::Knn({{0.5, 0.5}}, 1);
   std::string buf;

@@ -6,10 +6,14 @@
 // router's merged metrics and every shard's own. Every answer is checked
 // byte-identical against a single-tree reference, so a data race that
 // corrupts a bound, an inline lane or a merge shows up even without TSan.
+// Batches span every tile, so each takes both phases of the owner-first
+// batch scatter on every shard; a serving-shard case interleaves acked
+// writes with batches.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -21,6 +25,8 @@
 #include "data/uniform.h"
 #include "db/spatial_db.h"
 #include "shard/shard_router.h"
+#include "tests/owner_first.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace spatial {
@@ -63,6 +69,8 @@ TEST(ShardStressTest, ConcurrentScatterGatherWithLiveScraping) {
   ShardRouter<2> router(set->get(), router_options);
 
   constexpr int kQueriesPerThread = 150;
+  constexpr size_t kBatchSize = 32;
+  std::atomic<uint64_t> batch_executions{0};
   std::atomic<bool> done{false};
   std::atomic<uint64_t> mismatches{0};
 
@@ -128,10 +136,23 @@ TEST(ShardStressTest, ConcurrentScatterGatherWithLiveScraping) {
           }
         }
         if (i % 5 == 0) {
-          const std::vector<Point2> points = {q, {{0.5, 0.5}}};
+          // 32 queries spread over every tile, so every shard owns some
+          // and runs both phases of the owner-first batch scatter.
+          std::vector<Point2> points = {q};
+          while (points.size() < kBatchSize) {
+            const Rect<2>& tile =
+                (*set)->tile(static_cast<uint32_t>(points.size()) %
+                             options.num_shards);
+            points.push_back({{rng.Uniform(tile.lo.coord[0], tile.hi.coord[0]),
+                               rng.Uniform(tile.lo.coord[1],
+                                           tile.hi.coord[1])}});
+          }
+          for (uint64_t runs : OwnerFirstExecutions<2>(**set, points)) {
+            batch_executions.fetch_add(runs);
+          }
           QueryResponse<2> batch =
               router.Execute(QueryRequest<2>::BatchKnn(points, 4));
-          if (!batch.ok() || batch.batch_offsets.size() != 3) {
+          if (!batch.ok() || batch.batch_offsets.size() != kBatchSize + 1) {
             mismatches.fetch_add(1);
             continue;
           }
@@ -158,7 +179,8 @@ TEST(ShardStressTest, ConcurrentScatterGatherWithLiveScraping) {
   shard_scraper.join();
 
   EXPECT_EQ(mismatches.load(), 0u);
-  // Every kNN ran inline; ranges and batches took the queue.
+  // Every kNN ran inline; ranges and batches took the queue: a range
+  // once per shard, a batch once per phase it gave each shard.
   EXPECT_NE(router.ScrapeMetrics().find(
                 "spatial_router_inline_scatters_total " +
                 std::to_string(kThreads * kQueriesPerThread) + "\n"),
@@ -168,7 +190,65 @@ TEST(ShardStressTest, ConcurrentScatterGatherWithLiveScraping) {
     queued += (*set)->shard(s).Snapshot().queue_wait.total_count;
   }
   EXPECT_EQ(queued, static_cast<uint64_t>(options.num_shards) * kThreads *
-                        (kQueriesPerThread / 3 + kQueriesPerThread / 5));
+                            (kQueriesPerThread / 3) +
+                        batch_executions.load());
+}
+
+// Serving shards: every batch pins a snapshot per phase, and writes land
+// between batches. After each acked insert the next batch — queries on and
+// around the new object, anywhere in or outside the initial tiles — must
+// match the exact answer over the post-write dataset, even when the new
+// object sits in a shard other than the one owning the query (tiles do not
+// grow with inserts; only the shards' roots do).
+TEST(ShardStressTest, ServingBatchesSeeEveryAckedWrite) {
+  std::vector<Entry<2>> data = MakeData(1500);
+  ShardSet<2>::Options options;
+  options.num_shards = 4;
+  options.serving = true;
+  options.dir = ::testing::TempDir() + "/shard_stress_serving";
+  options.page_size = 512;
+  options.buffer_pages = 64;
+  options.service.num_workers = 2;
+  options.service.frames_per_worker = 32;
+  ASSERT_EQ(0, system(("rm -rf " + options.dir + " && mkdir -p " +
+                       options.dir).c_str()));
+  auto set = ShardSet<2>::Build(data, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+
+  Rng rng(77);
+  uint64_t next_id = data.size();
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Point2 p{{rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)}};
+    const QueryResponse<2> ack = router.Execute(
+        QueryRequest<2>::Insert(Rect<2>::FromPoint(p), next_id));
+    ASSERT_TRUE(ack.ok()) << ack.status.ToString();
+    data.push_back(Entry<2>{Rect<2>::FromPoint(p), next_id++});
+
+    std::vector<Point2> points = {p};
+    for (int j = 0; j < 15; ++j) {
+      points.push_back({{p.coord[0] + rng.Uniform(-0.05, 0.05),
+                         p.coord[1] + rng.Uniform(-0.05, 0.05)}});
+    }
+    for (int j = 0; j < 16; ++j) {
+      points.push_back({{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}});
+    }
+    for (uint32_t k : {1u, 6u}) {
+      const QueryResponse<2> batch =
+          router.Execute(QueryRequest<2>::BatchKnn(points, k));
+      ASSERT_TRUE(batch.ok()) << batch.status.ToString();
+      ASSERT_EQ(batch.batch_offsets.size(), points.size() + 1);
+      for (size_t j = 0; j < points.size(); ++j) {
+        const std::vector<Neighbor> want = RefKnn<2>(data, points[j], k);
+        const uint32_t lo = batch.batch_offsets[j];
+        ASSERT_EQ(batch.batch_offsets[j + 1] - lo, want.size());
+        EXPECT_EQ(0, std::memcmp(batch.neighbors.data() + lo, want.data(),
+                                 want.size() * sizeof(Neighbor)))
+            << "query " << j;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 # because it stresses the same staging arenas the kernels write into, and
 # the metrics/knn/join tests cover the traversals that drive them. The
 # inline scatter test covers the router's reused per-thread answer slots,
-# and the wire test the iovec frame send.
+# the batch scatter test the owner-first batch's per-thread bound arrays
+# and slice cursors, and the wire test the iovec frame send.
 #
 # Usage: tools/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -19,7 +20,7 @@ BUILD_DIR="${1:-build-asan}"
 TESTS=(metrics_test metrics_reference_test simd_kernel_test knn_test
        knn_property_test spatial_join_test zero_alloc_test
        resident_tree_test advanced_query_test inline_scatter_test
-       net_wire_test)
+       batch_scatter_test net_wire_test)
 
 cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=address+undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
