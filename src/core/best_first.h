@@ -8,9 +8,8 @@
 #include "core/neighbor_buffer.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
+#include "core/tree_ref.h"
 #include "geom/point.h"
-#include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
@@ -18,66 +17,33 @@ namespace spatial {
 // smallest MINDIST until k objects have been emitted. Visits the provably
 // minimal set of R-tree nodes for the query, at the cost of a global
 // priority queue. Used as the page-access-optimal comparator in E8.
+// `tree` is either backend; the emission order is bit-identical on both.
 template <int D>
-Result<std::vector<Neighbor>> BestFirstKnn(const RTree<D>& tree,
+Result<std::vector<Neighbor>> BestFirstKnn(TreeArg<D> tree,
                                            const Point<D>& query, uint32_t k,
                                            QueryStats* stats);
 
 // As above, but the queue and staging buffers are borrowed from `scratch`
 // (may be null for a private arena) so repeated queries reuse storage.
 template <int D>
-Result<std::vector<Neighbor>> BestFirstKnn(const RTree<D>& tree,
-                                           const Point<D>& query, uint32_t k,
-                                           QueryScratch<D>* scratch,
-                                           QueryStats* stats);
-
-// Resident-tier variants: the identical best-first search over a compiled
-// ResidentTree (storage/resident_tree.h), emission order bit-identical to
-// the paged path.
-template <int D>
-Result<std::vector<Neighbor>> BestFirstKnn(const ResidentTree<D>& tree,
-                                           const Point<D>& query, uint32_t k,
-                                           QueryStats* stats);
-
-template <int D>
-Result<std::vector<Neighbor>> BestFirstKnn(const ResidentTree<D>& tree,
+Result<std::vector<Neighbor>> BestFirstKnn(TreeArg<D> tree,
                                            const Point<D>& query, uint32_t k,
                                            QueryScratch<D>* scratch,
                                            QueryStats* stats);
 
 extern template Result<std::vector<Neighbor>> BestFirstKnn<2>(
-    const RTree<2>&, const Point<2>&, uint32_t, QueryStats*);
+    TreeRef<2>, const Point<2>&, uint32_t, QueryStats*);
 extern template Result<std::vector<Neighbor>> BestFirstKnn<3>(
-    const RTree<3>&, const Point<3>&, uint32_t, QueryStats*);
+    TreeRef<3>, const Point<3>&, uint32_t, QueryStats*);
 extern template Result<std::vector<Neighbor>> BestFirstKnn<4>(
-    const RTree<4>&, const Point<4>&, uint32_t, QueryStats*);
+    TreeRef<4>, const Point<4>&, uint32_t, QueryStats*);
 
 extern template Result<std::vector<Neighbor>> BestFirstKnn<2>(
-    const RTree<2>&, const Point<2>&, uint32_t, QueryScratch<2>*,
-    QueryStats*);
+    TreeRef<2>, const Point<2>&, uint32_t, QueryScratch<2>*, QueryStats*);
 extern template Result<std::vector<Neighbor>> BestFirstKnn<3>(
-    const RTree<3>&, const Point<3>&, uint32_t, QueryScratch<3>*,
-    QueryStats*);
+    TreeRef<3>, const Point<3>&, uint32_t, QueryScratch<3>*, QueryStats*);
 extern template Result<std::vector<Neighbor>> BestFirstKnn<4>(
-    const RTree<4>&, const Point<4>&, uint32_t, QueryScratch<4>*,
-    QueryStats*);
-
-extern template Result<std::vector<Neighbor>> BestFirstKnn<2>(
-    const ResidentTree<2>&, const Point<2>&, uint32_t, QueryStats*);
-extern template Result<std::vector<Neighbor>> BestFirstKnn<3>(
-    const ResidentTree<3>&, const Point<3>&, uint32_t, QueryStats*);
-extern template Result<std::vector<Neighbor>> BestFirstKnn<4>(
-    const ResidentTree<4>&, const Point<4>&, uint32_t, QueryStats*);
-
-extern template Result<std::vector<Neighbor>> BestFirstKnn<2>(
-    const ResidentTree<2>&, const Point<2>&, uint32_t, QueryScratch<2>*,
-    QueryStats*);
-extern template Result<std::vector<Neighbor>> BestFirstKnn<3>(
-    const ResidentTree<3>&, const Point<3>&, uint32_t, QueryScratch<3>*,
-    QueryStats*);
-extern template Result<std::vector<Neighbor>> BestFirstKnn<4>(
-    const ResidentTree<4>&, const Point<4>&, uint32_t, QueryScratch<4>*,
-    QueryStats*);
+    TreeRef<4>, const Point<4>&, uint32_t, QueryScratch<4>*, QueryStats*);
 
 }  // namespace spatial
 

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "common/result.h"
-#include "core/node_access.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
+#include "core/tree_ref.h"
 #include "geom/rect.h"
 
 namespace spatial {
@@ -16,7 +16,7 @@ namespace spatial {
 // reverse-kNN and NN-skyline traversals (the queries that still need the
 // popped box *after* the node holding it is gone — sector assignment,
 // per-source dominance tests). Works over either backend through
-// NodeAccessor, keeps all queue state in the scratch arena (zero
+// TreeRef, keeps all queue state in the scratch arena (zero
 // steady-state allocations), and computes keys with the batch kernel the
 // caller supplies, so one node expansion prices all entries in one pass.
 //
@@ -30,18 +30,17 @@ namespace spatial {
 template <int D, class KeyFn>
 class GeoBrowse {
  public:
-  GeoBrowse(const NodeAccessor<D>& access, PageId root_page, bool empty,
-            KeyFn key, QueryScratch<D>* scratch, QueryStats* stats,
-            const char* bad_magic_message)
-      : access_(access),
+  GeoBrowse(TreeRef<D> tree, KeyFn key, QueryScratch<D>* scratch,
+            QueryStats* stats, const char* bad_magic_message)
+      : tree_(tree),
         key_(std::move(key)),
         scratch_(scratch),
         stats_(stats),
         bad_magic_message_(bad_magic_message) {
     scratch_->geo_heap.clear();
-    if (!empty) {
+    if (!tree_.empty()) {
       scratch_->geo_heap.push_back(
-          GeoHeapItem<D>{0.0, /*is_object=*/false, root_page,
+          GeoHeapItem<D>{0.0, /*is_object=*/false, tree_.root_page(),
                          Rect<D>::Empty()});
       if (stats_ != nullptr) ++stats_->heap_pushes;
     }
@@ -64,9 +63,8 @@ class GeoBrowse {
   // its children (or objects) with their keys and geometry.
   Status Expand(const GeoHeapItem<D>& item) {
     ExpandedNode<D> node;
-    SPATIAL_RETURN_IF_ERROR(access_.Expand(static_cast<PageId>(item.id),
-                                           scratch_, &node,
-                                           bad_magic_message_));
+    SPATIAL_RETURN_IF_ERROR(tree_.Expand(static_cast<PageId>(item.id),
+                                         scratch_, &node, bad_magic_message_));
     if (stats_ != nullptr) {
       ++stats_->nodes_visited;
       if (node.is_leaf()) {
@@ -111,7 +109,7 @@ class GeoBrowse {
   }
 
  private:
-  const NodeAccessor<D> access_;
+  const TreeRef<D> tree_;
   KeyFn key_;
   QueryScratch<D>* scratch_;
   QueryStats* stats_;

@@ -8,42 +8,22 @@
 namespace spatial {
 
 template <int D>
-IncrementalKnn<D>::IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
+IncrementalKnn<D>::IncrementalKnn(TreeRef<D> tree, const Point<D>& query,
                                   QueryStats* stats)
     : IncrementalKnn(tree, query, nullptr, stats) {}
 
 template <int D>
-IncrementalKnn<D>::IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
+IncrementalKnn<D>::IncrementalKnn(TreeRef<D> tree, const Point<D>& query,
                                   QueryScratch<D>* scratch, QueryStats* stats)
-    : IncrementalKnn(NodeAccessor<D>(tree), tree.root_page(), tree.empty(),
-                     query, scratch, stats) {}
-
-template <int D>
-IncrementalKnn<D>::IncrementalKnn(const ResidentTree<D>& tree,
-                                  const Point<D>& query, QueryStats* stats)
-    : IncrementalKnn(tree, query, nullptr, stats) {}
-
-template <int D>
-IncrementalKnn<D>::IncrementalKnn(const ResidentTree<D>& tree,
-                                  const Point<D>& query,
-                                  QueryScratch<D>* scratch, QueryStats* stats)
-    : IncrementalKnn(NodeAccessor<D>(tree), tree.root_page(), tree.empty(),
-                     query, scratch, stats) {}
-
-template <int D>
-IncrementalKnn<D>::IncrementalKnn(const NodeAccessor<D>& access,
-                                  PageId root_page, bool empty,
-                                  const Point<D>& query,
-                                  QueryScratch<D>* scratch, QueryStats* stats)
-    : access_(access), query_(query), stats_(stats), scratch_(scratch) {
+    : tree_(tree), query_(query), stats_(stats), scratch_(scratch) {
   if (scratch_ == nullptr) {
     owned_scratch_ = std::make_unique<QueryScratch<D>>();
     scratch_ = owned_scratch_.get();
   }
   scratch_->heap.clear();
-  if (!empty) {
+  if (!tree_.empty()) {
     scratch_->heap.push_back(
-        DistHeapItem{0.0, /*is_object=*/false, root_page});
+        DistHeapItem{0.0, /*is_object=*/false, tree_.root_page()});
     if (stats_ != nullptr) ++stats_->heap_pushes;
   }
 }
@@ -67,7 +47,7 @@ Result<std::optional<Neighbor>> IncrementalKnn<D>::Next() {
 template <int D>
 Status IncrementalKnn<D>::ExpandNode(PageId node_id) {
   ExpandedNode<D> node;
-  SPATIAL_RETURN_IF_ERROR(access_.Expand(
+  SPATIAL_RETURN_IF_ERROR(tree_.Expand(
       node_id, scratch_, &node, "incremental knn: node page has bad magic"));
   if (stats_ != nullptr) {
     ++stats_->nodes_visited;

@@ -8,12 +8,10 @@
 
 #include "common/result.h"
 #include "core/neighbor_buffer.h"
-#include "core/node_access.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
+#include "core/tree_ref.h"
 #include "geom/point.h"
-#include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
@@ -33,7 +31,7 @@ namespace spatial {
 // The iterator runs over either backend: a paged RTree (borrowing its
 // buffer pool) or a compiled ResidentTree (storage/resident_tree.h), with
 // bit-identical emission order — both expand nodes through the same
-// NodeAccessor and push the same (distance, id) items.
+// TreeRef and push the same (distance, id) items.
 //
 // The iterator borrows the tree (and `scratch` if given); it must not
 // outlive them, and the tree must not be mutated while iterating. A shared
@@ -41,26 +39,17 @@ namespace spatial {
 template <int D>
 class IncrementalKnn {
  public:
-  IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
-                 QueryStats* stats);
-  IncrementalKnn(const RTree<D>& tree, const Point<D>& query,
-                 QueryScratch<D>* scratch, QueryStats* stats);
-  IncrementalKnn(const ResidentTree<D>& tree, const Point<D>& query,
-                 QueryStats* stats);
-  IncrementalKnn(const ResidentTree<D>& tree, const Point<D>& query,
+  IncrementalKnn(TreeRef<D> tree, const Point<D>& query, QueryStats* stats);
+  IncrementalKnn(TreeRef<D> tree, const Point<D>& query,
                  QueryScratch<D>* scratch, QueryStats* stats);
 
   // Returns the next-closest neighbor, or nullopt when exhausted.
   Result<std::optional<Neighbor>> Next();
 
  private:
-  IncrementalKnn(const NodeAccessor<D>& access, PageId root_page, bool empty,
-                 const Point<D>& query, QueryScratch<D>* scratch,
-                 QueryStats* stats);
-
   Status ExpandNode(PageId node_id);
 
-  NodeAccessor<D> access_;
+  TreeRef<D> tree_;
   Point<D> query_;
   QueryStats* stats_;
   std::unique_ptr<QueryScratch<D>> owned_scratch_;  // when none was passed

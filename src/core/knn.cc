@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/macros.h"
-#include "core/node_access.h"
 #include "geom/metrics.h"
 #include "geom/metrics_simd.h"
 #include "rtree/node.h"
@@ -61,7 +60,8 @@ struct AblFrame {
 // one of these rather than branching per visit, so the resident
 // instantiation compiles down to a table lookup with no ExpandedNode
 // staging, no PageHandle, and no backend branch on its hot path — the
-// paged instantiation is exactly the NodeAccessor expansion it always was.
+// paged instantiation is exactly the TreeRef expansion it always was. The
+// entry points pick one per call from TreeRef::resident().
 // Both yield nodes with the same count/level/soa/id accessors, so the
 // traversal source (and therefore answers, visit order, and stats) is
 // identical for both backends.
@@ -69,16 +69,16 @@ template <int D>
 class PagedAccess {
  public:
   using Node = ExpandedNode<D>;
-  explicit PagedAccess(const RTree<D>& tree) : access_(tree) {}
+  explicit PagedAccess(const TreeRef<D>& tree) : tree_(tree) {}
   Status Expand(PageId id, QueryScratch<D>* scratch, Node* storage,
                 const Node** out, const char* bad_magic_message) const {
     *out = storage;
-    return access_.Expand(id, scratch, storage, bad_magic_message);
+    return tree_.Expand(id, scratch, storage, bad_magic_message);
   }
   void Prefetch(PageId) const {}
 
  private:
-  const NodeAccessor<D> access_;
+  const TreeRef<D> tree_;
 };
 
 template <int D>
@@ -776,15 +776,13 @@ class BestFirstApproxKnn {
   const uint64_t visit_budget_;
 };
 
+// Runs one search over a fixed backend; the observed/unobserved and
+// exact/approximate engine choices are made once here, per query.
 template <int D, class Access>
-Status KnnSearchIntoImpl(const Access& access, PageId root_page, bool empty,
+Status KnnSearchIntoImpl(const Access& access, PageId root_page,
                          const Point<D>& query, const KnnOptions& options,
                          QueryScratch<D>* scratch, std::vector<Neighbor>* out,
                          QueryStats* stats) {
-  SPATIAL_CHECK(scratch != nullptr && out != nullptr);
-  SPATIAL_RETURN_IF_ERROR(options.Validate());
-  out->clear();
-  if (empty) return Status::OK();
   // An active approximation knob selects the best-first engine; zero-knob
   // searches take the paper's depth-first engine, bit for bit.
   const bool approx = options.epsilon > 0.0 || options.max_visits != 0;
@@ -810,29 +808,19 @@ Status KnnSearchIntoImpl(const Access& access, PageId root_page, bool empty,
 }
 
 template <int D, class Access>
-Status KnnSearchBatchImpl(const Access& access, PageId root_page, bool empty,
+Status KnnSearchBatchImpl(const Access& access, PageId root_page,
                           const Point<D>* queries, size_t num_queries,
                           const KnnOptions& options, QueryScratch<D>* scratch,
                           BatchKnnResult* out,
                           SharedPruneBound* const* bounds) {
-  SPATIAL_CHECK(scratch != nullptr && out != nullptr);
-  SPATIAL_RETURN_IF_ERROR(options.Validate());
-  if (options.shared_bound != nullptr) {
-    return Status::InvalidArgument(
-        "a kNN batch takes per-query bounds, not one shared bound");
-  }
-  out->Clear();
-  out->offsets.push_back(0);
   KnnOptions query_options = options;
   for (size_t q = 0; q < num_queries; ++q) {
     out->stats.emplace_back();
-    if (!empty) {
-      query_options.shared_bound = bounds != nullptr ? bounds[q] : nullptr;
-      DepthFirstKnn<D, Access, /*kObserved=*/true> search(
-          access, root_page, queries[q], query_options, scratch,
-          &out->stats.back());
-      SPATIAL_RETURN_IF_ERROR(search.Run(&out->neighbors, /*append=*/true));
-    }
+    query_options.shared_bound = bounds != nullptr ? bounds[q] : nullptr;
+    DepthFirstKnn<D, Access, /*kObserved=*/true> search(
+        access, root_page, queries[q], query_options, scratch,
+        &out->stats.back());
+    SPATIAL_RETURN_IF_ERROR(search.Run(&out->neighbors, /*append=*/true));
     out->offsets.push_back(static_cast<uint32_t>(out->neighbors.size()));
   }
   return Status::OK();
@@ -841,21 +829,20 @@ Status KnnSearchBatchImpl(const Access& access, PageId root_page, bool empty,
 }  // namespace
 
 template <int D>
-Status KnnSearchInto(const RTree<D>& tree, const Point<D>& query,
+Status KnnSearchInto(TreeArg<D> tree, const Point<D>& query,
                      const KnnOptions& options, QueryScratch<D>* scratch,
                      std::vector<Neighbor>* out, QueryStats* stats) {
-  return KnnSearchIntoImpl<D>(PagedAccess<D>(tree), tree.root_page(),
-                              tree.empty(), query, options, scratch, out,
-                              stats);
-}
-
-template <int D>
-Status KnnSearchInto(const ResidentTree<D>& tree, const Point<D>& query,
-                     const KnnOptions& options, QueryScratch<D>* scratch,
-                     std::vector<Neighbor>* out, QueryStats* stats) {
-  return KnnSearchIntoImpl<D>(ResidentAccess<D>(tree), tree.root_page(),
-                              tree.empty(), query, options, scratch, out,
-                              stats);
+  SPATIAL_CHECK(scratch != nullptr && out != nullptr);
+  SPATIAL_RETURN_IF_ERROR(options.Validate());
+  out->clear();
+  if (tree.empty()) return Status::OK();
+  if (tree.resident()) {
+    return KnnSearchIntoImpl<D>(ResidentAccess<D>(*tree.resident_tree()),
+                                tree.root_page(), query, options, scratch,
+                                out, stats);
+  }
+  return KnnSearchIntoImpl<D>(PagedAccess<D>(tree), tree.root_page(), query,
+                              options, scratch, out, stats);
 }
 
 template <int D>
@@ -871,23 +858,32 @@ Result<std::vector<Neighbor>> KnnSearch(const RTree<D>& tree,
 }
 
 template <int D>
-Status KnnSearchBatch(const RTree<D>& tree, const Point<D>* queries,
+Status KnnSearchBatch(TreeArg<D> tree, const Point<D>* queries,
                       size_t num_queries, const KnnOptions& options,
                       QueryScratch<D>* scratch, BatchKnnResult* out,
                       SharedPruneBound* const* bounds) {
+  SPATIAL_CHECK(scratch != nullptr && out != nullptr);
+  SPATIAL_RETURN_IF_ERROR(options.Validate());
+  if (options.shared_bound != nullptr) {
+    return Status::InvalidArgument(
+        "a kNN batch takes per-query bounds, not one shared bound");
+  }
+  out->Clear();
+  out->offsets.push_back(0);
+  if (tree.empty()) {
+    // Every query answers empty with zeroed stats.
+    out->stats.resize(num_queries);
+    out->offsets.resize(num_queries + 1, 0);
+    return Status::OK();
+  }
+  if (tree.resident()) {
+    return KnnSearchBatchImpl<D>(ResidentAccess<D>(*tree.resident_tree()),
+                                 tree.root_page(), queries, num_queries,
+                                 options, scratch, out, bounds);
+  }
   return KnnSearchBatchImpl<D>(PagedAccess<D>(tree), tree.root_page(),
-                               tree.empty(), queries, num_queries, options,
-                               scratch, out, bounds);
-}
-
-template <int D>
-Status KnnSearchBatch(const ResidentTree<D>& tree, const Point<D>* queries,
-                      size_t num_queries, const KnnOptions& options,
-                      QueryScratch<D>* scratch, BatchKnnResult* out,
-                      SharedPruneBound* const* bounds) {
-  return KnnSearchBatchImpl<D>(ResidentAccess<D>(tree), tree.root_page(),
-                               tree.empty(), queries, num_queries, options,
-                               scratch, out, bounds);
+                               queries, num_queries, options, scratch, out,
+                               bounds);
 }
 
 template Result<std::vector<Neighbor>> KnnSearch<2>(const RTree<2>&,
@@ -903,44 +899,24 @@ template Result<std::vector<Neighbor>> KnnSearch<4>(const RTree<4>&,
                                                     const KnnOptions&,
                                                     QueryStats*);
 
-template Status KnnSearchInto<2>(const RTree<2>&, const Point<2>&,
+template Status KnnSearchInto<2>(TreeRef<2>, const Point<2>&,
                                  const KnnOptions&, QueryScratch<2>*,
                                  std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<3>(const RTree<3>&, const Point<3>&,
+template Status KnnSearchInto<3>(TreeRef<3>, const Point<3>&,
                                  const KnnOptions&, QueryScratch<3>*,
                                  std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<4>(const RTree<4>&, const Point<4>&,
+template Status KnnSearchInto<4>(TreeRef<4>, const Point<4>&,
                                  const KnnOptions&, QueryScratch<4>*,
                                  std::vector<Neighbor>*, QueryStats*);
 
-template Status KnnSearchInto<2>(const ResidentTree<2>&, const Point<2>&,
-                                 const KnnOptions&, QueryScratch<2>*,
-                                 std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<3>(const ResidentTree<3>&, const Point<3>&,
-                                 const KnnOptions&, QueryScratch<3>*,
-                                 std::vector<Neighbor>*, QueryStats*);
-template Status KnnSearchInto<4>(const ResidentTree<4>&, const Point<4>&,
-                                 const KnnOptions&, QueryScratch<4>*,
-                                 std::vector<Neighbor>*, QueryStats*);
-
-template Status KnnSearchBatch<2>(const RTree<2>&, const Point<2>*, size_t,
+template Status KnnSearchBatch<2>(TreeRef<2>, const Point<2>*, size_t,
                                   const KnnOptions&, QueryScratch<2>*,
                                   BatchKnnResult*, SharedPruneBound* const*);
-template Status KnnSearchBatch<3>(const RTree<3>&, const Point<3>*, size_t,
+template Status KnnSearchBatch<3>(TreeRef<3>, const Point<3>*, size_t,
                                   const KnnOptions&, QueryScratch<3>*,
                                   BatchKnnResult*, SharedPruneBound* const*);
-template Status KnnSearchBatch<4>(const RTree<4>&, const Point<4>*, size_t,
+template Status KnnSearchBatch<4>(TreeRef<4>, const Point<4>*, size_t,
                                   const KnnOptions&, QueryScratch<4>*,
-                                  BatchKnnResult*, SharedPruneBound* const*);
-
-template Status KnnSearchBatch<2>(const ResidentTree<2>&, const Point<2>*,
-                                  size_t, const KnnOptions&, QueryScratch<2>*,
-                                  BatchKnnResult*, SharedPruneBound* const*);
-template Status KnnSearchBatch<3>(const ResidentTree<3>&, const Point<3>*,
-                                  size_t, const KnnOptions&, QueryScratch<3>*,
-                                  BatchKnnResult*, SharedPruneBound* const*);
-template Status KnnSearchBatch<4>(const ResidentTree<4>&, const Point<4>*,
-                                  size_t, const KnnOptions&, QueryScratch<4>*,
                                   BatchKnnResult*, SharedPruneBound* const*);
 
 }  // namespace spatial

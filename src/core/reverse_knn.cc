@@ -22,9 +22,9 @@ int ReverseKnnSectorFilter::SectorOf(const Point2& q, const Point2& p) {
 ReverseKnnSectorFilter::ReverseKnnSectorFilter(const Point2& query, uint32_t k)
     : query_(query),
       // k candidates per sector suffice for points in general position; two
-      // extra make the lemma robust to boundary ties, mirroring the k = 1
-      // implementation's base of 3. The cap bounds adversarial
-      // duplicate-heavy inputs; verification keeps over-generation safe.
+      // extra make the lemma robust to boundary ties (three per sector for
+      // reverse NN, k = 1). The cap bounds adversarial duplicate-heavy
+      // inputs; verification keeps over-generation safe.
       base_(k + 2),
       cap_(std::max<uint32_t>(16, 4 * (k + 2))) {
   for (double& d : band_dist_sq_) {
@@ -79,20 +79,18 @@ namespace {
 // Phase 1: sector-guided candidate generation by geometry-preserving
 // distance browsing. Fills scratch->geo_items with the candidates in
 // ascending (dist_sq, id) browse order.
-Status CollectCandidates(const NodeAccessor<2>& access, PageId root_page,
-                         bool empty, const Point2& query, uint32_t k,
+Status CollectCandidates(TreeRef<2> tree, const Point2& query, uint32_t k,
                          QueryScratch<2>* scratch, QueryStats* stats) {
   std::vector<GeoHeapItem<2>>& candidates = scratch->geo_items;
   candidates.clear();
-  if (empty) return Status::OK();
+  if (tree.empty()) return Status::OK();
 
   ReverseKnnSectorFilter filter(query, k);
   auto key = [&query, stats](const SoaBlock<2>& soa, double* keys) {
     MinDistSqBatchSoa(query, soa, keys);
     if (stats != nullptr) stats->distance_computations += soa.n;
   };
-  GeoBrowse<2, decltype(key)> browse(access, root_page, empty, key, scratch,
-                                     stats,
+  GeoBrowse<2, decltype(key)> browse(tree, key, scratch, stats,
                                      "reverse knn: node page has bad magic");
   GeoHeapItem<2> item;
   for (;;) {
@@ -112,35 +110,32 @@ Status CollectCandidates(const NodeAccessor<2>& access, PageId root_page,
   return Status::OK();
 }
 
-template <class Tree>
-Status ReverseKnnCandidatesImpl(const Tree& tree, const Point2& query,
-                                const ReverseKnnOptions& options,
-                                QueryScratch<2>* scratch,
-                                std::vector<Entry<2>>* out,
-                                QueryStats* stats) {
+}  // namespace
+
+Status ReverseKnnCandidates(TreeRef<2> tree, const Point2& query,
+                            const ReverseKnnOptions& options,
+                            QueryScratch<2>* scratch,
+                            std::vector<Entry<2>>* out, QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
   out->clear();
-  SPATIAL_RETURN_IF_ERROR(CollectCandidates(NodeAccessor<2>(tree),
-                                            tree.root_page(), tree.empty(),
-                                            query, options.k, scratch, stats));
+  SPATIAL_RETURN_IF_ERROR(
+      CollectCandidates(tree, query, options.k, scratch, stats));
   for (const GeoHeapItem<2>& c : scratch->geo_items) {
     out->push_back(Entry<2>{c.mbr, c.id});
   }
   return Status::OK();
 }
 
-template <class Tree>
-Status ReverseKnnSearchImpl(const Tree& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Neighbor>* out, QueryStats* stats) {
+Status ReverseKnnSearch(TreeRef<2> tree, const Point2& query,
+                        const ReverseKnnOptions& options,
+                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
+                        QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   SPATIAL_RETURN_IF_ERROR(options.Validate());
   out->clear();
-  SPATIAL_RETURN_IF_ERROR(CollectCandidates(NodeAccessor<2>(tree),
-                                            tree.root_page(), tree.empty(),
-                                            query, options.k, scratch, stats));
+  SPATIAL_RETURN_IF_ERROR(
+      CollectCandidates(tree, query, options.k, scratch, stats));
 
   // Phase 2: exact verification. The nested kNN reuses the same scratch —
   // it never touches geo_items, and tmp_neighbors is its output vector, so
@@ -167,36 +162,6 @@ Status ReverseKnnSearchImpl(const Tree& tree, const Point2& query,
               return a.id < b.id;
             });
   return Status::OK();
-}
-
-}  // namespace
-
-Status ReverseKnnCandidates(const RTree<2>& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Entry<2>>* out, QueryStats* stats) {
-  return ReverseKnnCandidatesImpl(tree, query, options, scratch, out, stats);
-}
-
-Status ReverseKnnCandidates(const ResidentTree<2>& tree, const Point2& query,
-                            const ReverseKnnOptions& options,
-                            QueryScratch<2>* scratch,
-                            std::vector<Entry<2>>* out, QueryStats* stats) {
-  return ReverseKnnCandidatesImpl(tree, query, options, scratch, out, stats);
-}
-
-Status ReverseKnnSearch(const RTree<2>& tree, const Point2& query,
-                        const ReverseKnnOptions& options,
-                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
-                        QueryStats* stats) {
-  return ReverseKnnSearchImpl(tree, query, options, scratch, out, stats);
-}
-
-Status ReverseKnnSearch(const ResidentTree<2>& tree, const Point2& query,
-                        const ReverseKnnOptions& options,
-                        QueryScratch<2>* scratch, std::vector<Neighbor>* out,
-                        QueryStats* stats) {
-  return ReverseKnnSearchImpl(tree, query, options, scratch, out, stats);
 }
 
 }  // namespace spatial

@@ -4,24 +4,21 @@
 
 #include "common/macros.h"
 #include "core/geo_browse.h"
-#include "core/node_access.h"
 #include "geom/metrics_simd.h"
 
 namespace spatial {
-namespace {
 
 template <int D>
-Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
-                     bool empty, const Point<D>* sources, size_t num_sources,
-                     QueryScratch<D>* scratch, std::vector<Entry<D>>* out,
-                     QueryStats* stats) {
+Status NnSkylineSearch(TreeArg<D> tree, const Point<D>* sources,
+                       size_t num_sources, QueryScratch<D>* scratch,
+                       std::vector<Entry<D>>* out, QueryStats* stats) {
   SPATIAL_CHECK(scratch != nullptr && out != nullptr);
   if (num_sources < 1 || sources == nullptr) {
     return Status::InvalidArgument(
         "nn-skyline needs at least one source point");
   }
   out->clear();
-  if (empty) return Status::OK();
+  if (tree.empty()) return Status::OK();
 
   // Skyline members: geometry + ordering key in geo_items, the parallel
   // per-source distance vectors packed m-at-a-time in geo_dists (member j
@@ -49,8 +46,7 @@ Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
       stats->distance_computations += static_cast<uint64_t>(n) * m;
     }
   };
-  GeoBrowse<D, decltype(key)> browse(access, root_page, empty, key, scratch,
-                                     stats,
+  GeoBrowse<D, decltype(key)> browse(tree, key, scratch, stats,
                                      "nn skyline: node page has bad magic");
 
   GeoHeapItem<D> item;
@@ -104,43 +100,14 @@ Status NnSkylineImpl(const NodeAccessor<D>& access, PageId root_page,
   return Status::OK();
 }
 
-}  // namespace
-
-template <int D>
-Status NnSkylineSearch(const RTree<D>& tree, const Point<D>* sources,
-                       size_t num_sources, QueryScratch<D>* scratch,
-                       std::vector<Entry<D>>* out, QueryStats* stats) {
-  return NnSkylineImpl<D>(NodeAccessor<D>(tree), tree.root_page(),
-                          tree.empty(), sources, num_sources, scratch, out,
-                          stats);
-}
-
-template <int D>
-Status NnSkylineSearch(const ResidentTree<D>& tree, const Point<D>* sources,
-                       size_t num_sources, QueryScratch<D>* scratch,
-                       std::vector<Entry<D>>* out, QueryStats* stats) {
-  return NnSkylineImpl<D>(NodeAccessor<D>(tree), tree.root_page(),
-                          tree.empty(), sources, num_sources, scratch, out,
-                          stats);
-}
-
-template Status NnSkylineSearch<2>(const RTree<2>&, const Point<2>*, size_t,
+template Status NnSkylineSearch<2>(TreeRef<2>, const Point<2>*, size_t,
                                    QueryScratch<2>*, std::vector<Entry<2>>*,
                                    QueryStats*);
-template Status NnSkylineSearch<3>(const RTree<3>&, const Point<3>*, size_t,
+template Status NnSkylineSearch<3>(TreeRef<3>, const Point<3>*, size_t,
                                    QueryScratch<3>*, std::vector<Entry<3>>*,
                                    QueryStats*);
-template Status NnSkylineSearch<4>(const RTree<4>&, const Point<4>*, size_t,
+template Status NnSkylineSearch<4>(TreeRef<4>, const Point<4>*, size_t,
                                    QueryScratch<4>*, std::vector<Entry<4>>*,
                                    QueryStats*);
-template Status NnSkylineSearch<2>(const ResidentTree<2>&, const Point<2>*,
-                                   size_t, QueryScratch<2>*,
-                                   std::vector<Entry<2>>*, QueryStats*);
-template Status NnSkylineSearch<3>(const ResidentTree<3>&, const Point<3>*,
-                                   size_t, QueryScratch<3>*,
-                                   std::vector<Entry<3>>*, QueryStats*);
-template Status NnSkylineSearch<4>(const ResidentTree<4>&, const Point<4>*,
-                                   size_t, QueryScratch<4>*,
-                                   std::vector<Entry<4>>*, QueryStats*);
 
 }  // namespace spatial

@@ -8,12 +8,11 @@
 #include "common/result.h"
 #include "core/query_stats.h"
 #include "core/scratch.h"
+#include "core/tree_ref.h"
 #include "geom/metrics.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "rtree/entry.h"
-#include "rtree/rtree.h"
-#include "storage/resident_tree.h"
 
 namespace spatial {
 
@@ -73,38 +72,19 @@ inline double SkylineDistSum(const Point<D>* sources, size_t num_sources,
 // (distance-sum, id). Zero steady-state allocations when `scratch` and
 // `out` are reused across queries. `stats` may be null.
 template <int D>
-Status NnSkylineSearch(const RTree<D>& tree, const Point<D>* sources,
-                       size_t num_sources, QueryScratch<D>* scratch,
-                       std::vector<Entry<D>>* out, QueryStats* stats);
-template <int D>
-Status NnSkylineSearch(const ResidentTree<D>& tree, const Point<D>* sources,
+Status NnSkylineSearch(TreeArg<D> tree, const Point<D>* sources,
                        size_t num_sources, QueryScratch<D>* scratch,
                        std::vector<Entry<D>>* out, QueryStats* stats);
 
-extern template Status NnSkylineSearch<2>(const RTree<2>&, const Point<2>*,
-                                          size_t, QueryScratch<2>*,
-                                          std::vector<Entry<2>>*,
-                                          QueryStats*);
-extern template Status NnSkylineSearch<3>(const RTree<3>&, const Point<3>*,
-                                          size_t, QueryScratch<3>*,
-                                          std::vector<Entry<3>>*,
-                                          QueryStats*);
-extern template Status NnSkylineSearch<4>(const RTree<4>&, const Point<4>*,
-                                          size_t, QueryScratch<4>*,
-                                          std::vector<Entry<4>>*,
-                                          QueryStats*);
-extern template Status NnSkylineSearch<2>(const ResidentTree<2>&,
-                                          const Point<2>*, size_t,
+extern template Status NnSkylineSearch<2>(TreeRef<2>, const Point<2>*, size_t,
                                           QueryScratch<2>*,
                                           std::vector<Entry<2>>*,
                                           QueryStats*);
-extern template Status NnSkylineSearch<3>(const ResidentTree<3>&,
-                                          const Point<3>*, size_t,
+extern template Status NnSkylineSearch<3>(TreeRef<3>, const Point<3>*, size_t,
                                           QueryScratch<3>*,
                                           std::vector<Entry<3>>*,
                                           QueryStats*);
-extern template Status NnSkylineSearch<4>(const ResidentTree<4>&,
-                                          const Point<4>*, size_t,
+extern template Status NnSkylineSearch<4>(TreeRef<4>, const Point<4>*, size_t,
                                           QueryScratch<4>*,
                                           std::vector<Entry<4>>*,
                                           QueryStats*);

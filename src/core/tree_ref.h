@@ -1,9 +1,10 @@
-#ifndef SPATIAL_CORE_NODE_ACCESS_H_
-#define SPATIAL_CORE_NODE_ACCESS_H_
+#ifndef SPATIAL_CORE_TREE_REF_H_
+#define SPATIAL_CORE_TREE_REF_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/status.h"
 #include "core/scratch.h"
@@ -16,7 +17,7 @@ namespace spatial {
 
 // One expanded node, in the exact form the traversals consume: the SoA
 // planes the SIMD kernels read and an id column. Produced by
-// NodeAccessor::Expand from either backend; the traversal code is identical
+// TreeRef::Expand from either backend; the traversal code is identical
 // for both, which is what keeps the resident tier's answers and visit order
 // bit-identical to the paged path.
 //
@@ -51,23 +52,39 @@ struct ExpandedNode {
   }
 };
 
-// Uniform node expansion over the two tree backends. Paged: fetch the page
-// through the buffer pool, stage its SoA planes into the scratch arena and
-// (for internal nodes) copy the child-id column out so the pin can drop
-// before descent. Resident: one table lookup — the planes and ids already
-// sit in the compiled arena, so the scratch arena is not touched at all.
+// One handle over either tree backend: a paged RTree (borrowing its buffer
+// pool) or a compiled ResidentTree (storage/resident_tree.h). Every core
+// entry point that serves both tiers takes a TreeRef, and both tree types
+// convert to it implicitly, so callers pass whichever tree they hold.
 //
-// The accessor borrows the tree it is built over and is copy-free to
-// construct; traversals build one per query.
+// Expand() is the uniform node expansion. Paged: fetch the page through
+// the buffer pool, stage its SoA planes into the scratch arena and (for
+// internal nodes) copy the child-id column out so the pin can drop before
+// descent. Resident: one table lookup — the planes and ids already sit in
+// the compiled arena, so the scratch arena is not touched at all.
+//
+// The handle borrows the tree and snapshots its root and emptiness; it is
+// copy-free to construct, and must not outlive the tree or a mutation of
+// it.
 template <int D>
-class NodeAccessor {
+class TreeRef {
  public:
-  explicit NodeAccessor(const RTree<D>& tree)
-      : pool_(tree.pool()), resident_(nullptr) {}
-  explicit NodeAccessor(const ResidentTree<D>& tree)
-      : pool_(nullptr), resident_(&tree) {}
+  TreeRef(const RTree<D>& tree)  // NOLINT: implicit by design
+      : pool_(tree.pool()),
+        resident_(nullptr),
+        root_page_(tree.root_page()),
+        empty_(tree.empty()) {}
+  TreeRef(const ResidentTree<D>& tree)  // NOLINT: implicit by design
+      : pool_(nullptr),
+        resident_(&tree),
+        root_page_(tree.root_page()),
+        empty_(tree.empty()) {}
 
   bool resident() const { return resident_ != nullptr; }
+  // The compiled tree; non-null iff resident().
+  const ResidentTree<D>* resident_tree() const { return resident_; }
+  PageId root_page() const { return root_page_; }
+  bool empty() const { return empty_; }
 
   // Expands node `id` into `out`. `bad_magic_message` is the Corruption
   // text for a page that fails the magic check (per-caller so the paged
@@ -121,8 +138,16 @@ class NodeAccessor {
  private:
   BufferPool* pool_;
   const ResidentTree<D>* resident_;
+  PageId root_page_;
+  bool empty_;
 };
+
+// The spelling core entry points use for their tree parameter: TreeRef<D>
+// in a non-deduced context, so D is deduced from the other arguments and
+// an RTree or ResidentTree argument converts implicitly.
+template <int D>
+using TreeArg = std::type_identity_t<TreeRef<D>>;
 
 }  // namespace spatial
 
-#endif  // SPATIAL_CORE_NODE_ACCESS_H_
+#endif  // SPATIAL_CORE_TREE_REF_H_

@@ -141,6 +141,28 @@ void RpcServer<D>::WaitUntilStopped() {
 }
 
 template <int D>
+void RpcServer<D>::ReapExitedHandlers() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::thread::id id : exited_) {
+      for (size_t i = 0; i < threads_.size(); ++i) {
+        if (threads_[i].get_id() == id) {
+          done.push_back(std::move(threads_[i]));
+          threads_[i] = std::move(threads_.back());
+          threads_.pop_back();
+          break;
+        }
+      }
+    }
+    exited_.clear();
+  }
+  // A handler announces its exit just before closing its socket and
+  // returning, so each join here waits only for that.
+  for (std::thread& t : done) t.join();
+}
+
+template <int D>
 void RpcServer<D>::AcceptLoop() {
   while (!stopped_.load(std::memory_order_relaxed)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -149,6 +171,7 @@ void RpcServer<D>::AcceptLoop() {
       // Listener shut down (Stop) or fatal: exit either way.
       return;
     }
+    ReapExitedHandlers();
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(mu_);
@@ -262,15 +285,21 @@ void RpcServer<D>::HandleConnection(int fd) {
     }
   }
 
-  CloseFd(fd);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < conn_fds_.size(); ++i) {
-    if (conn_fds_[i] == fd) {
-      conn_fds_.erase(conn_fds_.begin() + i);
-      break;
+  // Leave conn_fds_ before closing: once closed, the number can be reused
+  // by another accept() or open(), and Stop() must never shut that down.
+  // Announce the exit in the same step so the accept loop joins us.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < conn_fds_.size(); ++i) {
+      if (conn_fds_[i] == fd) {
+        conn_fds_.erase(conn_fds_.begin() + i);
+        break;
+      }
     }
+    connections_->Set(static_cast<double>(conn_fds_.size()));
+    exited_.push_back(std::this_thread::get_id());
   }
-  connections_->Set(static_cast<double>(conn_fds_.size()));
+  CloseFd(fd);
 }
 
 template class RpcServer<2>;

@@ -95,6 +95,10 @@ class RpcServer {
 
   void AcceptLoop();
   void HandleConnection(int fd);
+  // Joins every handler that has announced its exit. The accept loop
+  // calls it for each new connection, so the stacks of finished handlers
+  // do not pile up over a long-lived server's lifetime.
+  void ReapExitedHandlers();
 
   ShardRouter<D>* router_;
   Options options_;
@@ -104,9 +108,10 @@ class RpcServer {
   std::atomic<uint32_t> in_flight_{0};
   std::atomic<uint64_t> served_{0};
   std::thread accept_thread_;
-  std::mutex mu_;                     // guards threads_ and conn_fds_
-  std::vector<std::thread> threads_;  // connection handlers
-  std::vector<int> conn_fds_;         // live connection sockets
+  std::mutex mu_;  // guards threads_, exited_ and conn_fds_
+  std::vector<std::thread> threads_;     // connection handlers
+  std::vector<std::thread::id> exited_;  // handlers done, not yet joined
+  std::vector<int> conn_fds_;            // live connection sockets
   bool joined_ = false;
   // Instruments (owned by the router's registry).
   obs::Counter* requests_;

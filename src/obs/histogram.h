@@ -75,10 +75,6 @@ struct HistogramSnapshot {
     return b >= kHistogramBuckets - 1 ? ~uint64_t{0}
                                       : (uint64_t{1} << b) - 1;
   }
-
-  // Compatibility spellings from the retired service-local histogram.
-  uint64_t PercentileNs(double p) const { return Percentile(p); }
-  double MeanNs() const { return Mean(); }
 };
 
 class PowerHistogram {

@@ -479,17 +479,22 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
                                QueryResponse<D>* out) {
   QueryResponse<D>& response = *out;
   const int kind = static_cast<int>(request.kind);
-  // Tier routing for resident-eligible kinds: one branch per query, and
-  // the fallback counter records every eligible query the tier *could not*
+  // One tree handle per query: the resident tree when the caller resolved
+  // a fresh one, the paged tree otherwise. Resident-eligible kinds take it
+  // through tiered(), which also counts the tier decision, so call it only
+  // once the kind's own validation passed: a rejected or empty request
+  // counts nothing. A fallback is an eligible query the tier *could not*
   // serve (disabled tiers count nothing — the gap is not a fallback).
-  const auto route = [&](auto&& fast, auto&& paged) {
-    if (resident != nullptr) {
+  // Ranges and constrained kNN stay on the paged tree.
+  const TreeRef<D> target =
+      resident != nullptr ? TreeRef<D>(*resident) : TreeRef<D>(*tree);
+  const auto tiered = [&]() -> const TreeRef<D>& {
+    if (target.resident()) {
       ++ex->tier_hits[kind];
-      fast();
-    } else {
-      if (options_.resident_tier) ++ex->tier_fallbacks[kind];
-      paged();
+    } else if (options_.resident_tier) {
+      ++ex->tier_fallbacks[kind];
     }
+    return target;
   };
   // The exact kinds must stay exact: approximation knobs ride only on
   // kApproxKnn, whose metrics and contract are separate by design.
@@ -502,17 +507,9 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
             "epsilon/max_visits require the approx-knn kind");
         return;
       }
-      route(
-          [&] {
-            response.status = KnnSearchInto<D>(
-                *resident, request.query, request.knn, scratch,
-                &response.neighbors, &response.stats);
-          },
-          [&] {
-            response.status = KnnSearchInto<D>(
-                *tree, request.query, request.knn, scratch,
-                &response.neighbors, &response.stats);
-          });
+      response.status =
+          KnnSearchInto<D>(tiered(), request.query, request.knn, scratch,
+                           &response.neighbors, &response.stats);
       return;
     }
     case QueryKind::kConstrainedKnn: {
@@ -543,28 +540,17 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
         response.status = Status::InvalidArgument("top_k must be >= 1");
         return;
       }
-      const auto drain = [&](IncrementalKnn<D>& scan) {
-        for (uint32_t i = 0; i < request.top_k; ++i) {
-          auto next = scan.Next();
-          if (!next.ok()) {
-            response.status = next.status();
-            return;
-          }
-          if (!next->has_value()) break;  // tree exhausted
-          response.neighbors.push_back(**next);
+      IncrementalKnn<D> scan(tiered(), request.query, scratch,
+                             &response.stats);
+      for (uint32_t i = 0; i < request.top_k; ++i) {
+        auto next = scan.Next();
+        if (!next.ok()) {
+          response.status = next.status();
+          return;
         }
-      };
-      route(
-          [&] {
-            IncrementalKnn<D> scan(*resident, request.query, scratch,
-                                   &response.stats);
-            drain(scan);
-          },
-          [&] {
-            IncrementalKnn<D> scan(*tree, request.query, scratch,
-                                   &response.stats);
-            drain(scan);
-          });
+        if (!next->has_value()) break;  // tree exhausted
+        response.neighbors.push_back(**next);
+      }
       return;
     }
     case QueryKind::kBatchKnn: {
@@ -578,19 +564,9 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
         return;
       }
       BatchKnnResult batch;
-      route(
-          [&] {
-            response.status = KnnSearchBatch<D>(
-                *resident, request.batch_queries.data(),
-                request.batch_queries.size(), request.knn, scratch,
-                &batch, request.batch_bounds);
-          },
-          [&] {
-            response.status = KnnSearchBatch<D>(
-                *tree, request.batch_queries.data(),
-                request.batch_queries.size(), request.knn, scratch,
-                &batch, request.batch_bounds);
-          });
+      response.status = KnnSearchBatch<D>(
+          tiered(), request.batch_queries.data(), request.batch_queries.size(),
+          request.knn, scratch, &batch, request.batch_bounds);
       if (response.status.ok()) {
         response.neighbors = std::move(batch.neighbors);
         response.batch_offsets = std::move(batch.offsets);
@@ -602,37 +578,14 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
       if constexpr (D == 2) {
         ReverseKnnOptions rknn;
         rknn.k = request.knn.k;
-        if (request.rknn_candidates_only) {
-          // Shard scatter path: sector candidates only, with geometry —
-          // the router verifies against the global tree itself.
-          route(
-              [&] {
-                response.status =
-                    ReverseKnnCandidates(*resident, request.query, rknn,
-                                         scratch, &response.entries,
-                                         &response.stats);
-              },
-              [&] {
-                response.status =
-                    ReverseKnnCandidates(*tree, request.query, rknn,
-                                         scratch, &response.entries,
-                                         &response.stats);
-              });
-        } else {
-          route(
-              [&] {
-                response.status =
-                    ReverseKnnSearch(*resident, request.query, rknn,
-                                     scratch, &response.neighbors,
-                                     &response.stats);
-              },
-              [&] {
-                response.status =
-                    ReverseKnnSearch(*tree, request.query, rknn,
-                                     scratch, &response.neighbors,
-                                     &response.stats);
-              });
-        }
+        // Shard scatter path: sector candidates only, with geometry — the
+        // router verifies against the global tree itself.
+        response.status =
+            request.rknn_candidates_only
+                ? ReverseKnnCandidates(tiered(), request.query, rknn, scratch,
+                                       &response.entries, &response.stats)
+                : ReverseKnnSearch(tiered(), request.query, rknn, scratch,
+                                   &response.neighbors, &response.stats);
       } else {
         // The sector construction is planar (core/reverse_knn.h); surface
         // that as a client error instead of the historical link error.
@@ -642,33 +595,15 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
       return;
     }
     case QueryKind::kNnSkyline: {
-      route(
-          [&] {
-            response.status = NnSkylineSearch<D>(
-                *resident, request.batch_queries.data(),
-                request.batch_queries.size(), scratch,
-                &response.entries, &response.stats);
-          },
-          [&] {
-            response.status = NnSkylineSearch<D>(
-                *tree, request.batch_queries.data(),
-                request.batch_queries.size(), scratch,
-                &response.entries, &response.stats);
-          });
+      response.status = NnSkylineSearch<D>(
+          tiered(), request.batch_queries.data(), request.batch_queries.size(),
+          scratch, &response.entries, &response.stats);
       return;
     }
     case QueryKind::kApproxKnn: {
-      route(
-          [&] {
-            response.status = KnnSearchInto<D>(
-                *resident, request.query, request.knn, scratch,
-                &response.neighbors, &response.stats);
-          },
-          [&] {
-            response.status = KnnSearchInto<D>(
-                *tree, request.query, request.knn, scratch,
-                &response.neighbors, &response.stats);
-          });
+      response.status =
+          KnnSearchInto<D>(tiered(), request.query, request.knn, scratch,
+                           &response.neighbors, &response.stats);
       return;
     }
     case QueryKind::kInsert:

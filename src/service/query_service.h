@@ -50,7 +50,7 @@ namespace spatial {
 //     thread-safe ReadPageConcurrent (pread on files, stable-memory copy
 //     in-memory).
 //   * Per-query latency lands in a lock-free per-worker histogram;
-//     Stats() merges workers into one ServiceStats (percentiles, QPS, and
+//     Snapshot() merges workers into one ServiceStats (percentiles, QPS, and
 //     the paper's page-accesses-per-query, now measurable under load).
 //
 // Usage:
@@ -59,7 +59,7 @@ namespace spatial {
 //   QueryResponse<2> resp = future.get();
 //
 // Submit and ExecuteInline may be called from any number of threads.
-// Stats() may be called at any time; counters are exact once every
+// Snapshot() may be called at any time; counters are exact once every
 // submitted future has resolved. The destructor drains outstanding
 // requests and joins the workers.
 template <int D>
@@ -173,9 +173,6 @@ class QueryService {
   // futures have resolved; during load, counters may be torn *across*
   // fields (never within one).
   ServiceStats Snapshot() const;
-
-  // Historical spelling of Snapshot().
-  ServiceStats Stats() const { return Snapshot(); }
 
   // Per-kind traversal counters summed over workers (live, like
   // Snapshot()).

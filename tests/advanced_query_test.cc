@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "core/knn.h"
 #include "core/reverse_knn.h"
-#include "core/reverse_nn.h"
 #include "core/scratch.h"
 #include "core/skyline.h"
 #include "data/clustered.h"
@@ -134,25 +133,6 @@ TEST_P(ReverseKnnPropertyTest, MatchesBruteForceClustered) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReverseKnnPropertyTest,
                          ::testing::Values(5u, 55u, 555u));
-
-TEST(ReverseKnnTest, K1MatchesLegacyReverseNn) {
-  Rng rng(17);
-  DualBackend<2> index(
-      MakePointEntries(GenerateUniform<2>(800, UnitBounds<2>(), &rng)));
-  QueryScratch<2> scratch;
-  std::vector<Neighbor> got;
-  for (int trial = 0; trial < 20; ++trial) {
-    const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto legacy = ReverseNnSearch<2>(*index.tree, q, nullptr);
-    ASSERT_TRUE(legacy.ok());
-    std::sort(legacy->begin(), legacy->end(), RefNeighborLess);
-    ASSERT_TRUE(
-        ReverseKnnSearch(*index.tree, q, ReverseKnnOptions{}, &scratch, &got,
-                         nullptr)
-            .ok());
-    ExpectNeighborsByteIdentical(got, *legacy);
-  }
-}
 
 TEST(ReverseKnnTest, QueryOnDataPointAlwaysQualifiesIt) {
   DualBackend<2> index({{Rect2::FromPoint({{0.5, 0.5}}), 1},

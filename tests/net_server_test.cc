@@ -1,14 +1,17 @@
 // The RPC front door end to end: a real TCP round trip must return exactly
 // what the router returns locally, handshake mismatches must be refused,
-// admission control must shed with kOverloaded at the pending budget, and
-// max_requests must stop the server cleanly.
+// admission control must shed with kOverloaded at the pending budget,
+// max_requests must stop the server cleanly, and a long-lived server must
+// not grow per connection it has already closed.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,6 +159,43 @@ TEST(RpcServerTest, MaxRequestsStopsServer) {
   EXPECT_EQ(completed, 10);
   (*server)->WaitUntilStopped();
   EXPECT_EQ((*server)->requests_served(), 10u);
+}
+
+// This process's virtual size in kB (the VmSize line of /proc/self/status),
+// or -1 when it cannot be read.
+int64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(RpcServerTest, SequentialConnectionsDoNotGrowVirtualMemory) {
+  // Every connection runs on its own handler thread. A handler that has
+  // exited but is never joined keeps its stack mapped (8 MB by default)
+  // until Stop(), so a server would grow by one stack per connection it
+  // ever served. Connections here come one after another, never more than
+  // one open at a time, so the live handler count stays at one or two.
+  Fixture fx;
+  auto server = RpcServer<2>::Start(fx.router.get(), {});
+  ASSERT_TRUE(server.ok());
+  const auto connect_and_call = [&] {
+    auto client = RpcClient<2>::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto r = (*client)->Call(QueryRequest<2>::Knn({{0.5, 0.5}}, 3));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  };
+  connect_and_call();  // warm-up: first thread stack, allocator arenas
+  const int64_t before_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) connect_and_call();
+  const int64_t grown_kb = VmSizeKb() - before_kb;
+  EXPECT_LT(grown_kb, 256 * 1024)
+      << "VmSize grew by " << grown_kb / 1024 << " MB over " << kConnections
+      << " sequential connections";
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST(QueryServiceTest, StatsAggregateAcrossWorkers) {
     ASSERT_TRUE(f.get().ok());
   }
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.workers, 4u);
   EXPECT_EQ(stats.queries_ok, static_cast<uint64_t>(kQueries));
   EXPECT_EQ(stats.queries_failed, 0u);
@@ -164,9 +164,9 @@ TEST(QueryServiceTest, StatsAggregateAcrossWorkers) {
             static_cast<uint64_t>(kQueries));
   EXPECT_GT(stats.PageAccessesPerQuery(), 0.0);
   EXPECT_GT(stats.QueriesPerSecond(), 0.0);
-  EXPECT_GT(stats.latency.PercentileNs(0.5), 0u);
-  EXPECT_GE(stats.latency.PercentileNs(0.99),
-            stats.latency.PercentileNs(0.5));
+  EXPECT_GT(stats.latency.Percentile(0.5), 0u);
+  EXPECT_GE(stats.latency.Percentile(0.99),
+            stats.latency.Percentile(0.5));
   // Per-query algorithm counters flowed through the workers.
   EXPECT_GE(stats.query.nodes_visited, static_cast<uint64_t>(kQueries));
   // With the tier disabled, no query may be counted against it.
@@ -175,7 +175,7 @@ TEST(QueryServiceTest, StatsAggregateAcrossWorkers) {
   EXPECT_EQ(stats.resident_compiles, 0u);
 
   (*service)->ResetStats();
-  const ServiceStats zeroed = (*service)->Stats();
+  const ServiceStats zeroed = (*service)->Snapshot();
   EXPECT_EQ(zeroed.queries_ok, 0u);
   EXPECT_EQ(zeroed.buffer.logical_fetches, 0u);
   EXPECT_EQ(zeroed.latency.total_count, 0u);
@@ -193,7 +193,7 @@ TEST(QueryServiceTest, InvalidRequestsFailCleanly) {
   EXPECT_FALSE(got.ok());
   EXPECT_TRUE(got.status.IsInvalidArgument());
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.queries_failed, 1u);
 }
 

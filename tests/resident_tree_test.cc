@@ -287,7 +287,7 @@ TEST(ResidentTreeTest, ReadOnlyServiceServesFromResidentTier) {
   Rect<2> window = Rect<2>::FromCorners({{0.4, 0.4}}, {{0.6, 0.6}});
   ASSERT_TRUE((*service)->Execute(QueryRequest<2>::Range(window)).ok());
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   EXPECT_EQ(stats.resident_hits, static_cast<uint64_t>(kQueries));
   EXPECT_EQ(stats.resident_fallbacks, 0u);
   EXPECT_EQ(stats.resident_compiles, 1u);
@@ -295,6 +295,97 @@ TEST(ResidentTreeTest, ReadOnlyServiceServesFromResidentTier) {
   const std::string scrape = (*service)->ScrapeMetrics();
   EXPECT_NE(scrape.find("spatial_resident_arena_bytes"), std::string::npos);
   EXPECT_NE(scrape.find("tier=\"resident\""), std::string::npos);
+}
+
+// A read-only resident service attached over `w`'s data.
+template <int D>
+std::unique_ptr<QueryService<D>> ResidentService(
+    const Workload<D>& w, std::optional<SpatialDb<D>>* db) {
+  typename SpatialDb<D>::Options db_options;
+  db_options.page_size = 1024;
+  auto created = SpatialDb<D>::CreateInMemory(db_options);
+  EXPECT_TRUE(created.ok());
+  db->emplace(std::move(*created));
+  EXPECT_TRUE((*db)->BulkLoadData(w.data, BulkLoadMethod::kStr).ok());
+  typename QueryService<D>::Options options;
+  options.num_workers = 1;
+  auto service = QueryService<D>::Attach(**db, options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_NE((*service)->resident_tree(), nullptr);
+  return std::move(*service);
+}
+
+// Executes `request` and returns the (hit, fallback) deltas it caused.
+template <int D>
+std::pair<uint64_t, uint64_t> TierDelta(QueryService<D>* service,
+                                        QueryRequest<D> request,
+                                        bool expect_ok) {
+  const ServiceStats before = service->Snapshot();
+  const QueryResponse<D> got = service->Execute(std::move(request));
+  EXPECT_EQ(got.ok(), expect_ok) << got.status.ToString();
+  const ServiceStats after = service->Snapshot();
+  return {after.resident_hits - before.resident_hits,
+          after.resident_fallbacks - before.resident_fallbacks};
+}
+
+// The tier-accounting rule: a resident-eligible request counts exactly one
+// tier decision once its kind's own validation passed and a traversal
+// runs; a rejected or empty request counts neither a hit nor a fallback.
+TEST(ResidentTreeTest, TierAccountingCountsOnlyTraversals) {
+  Workload<2> w(2000, 0);
+  std::optional<SpatialDb<2>> db;
+  std::unique_ptr<QueryService<2>> service = ResidentService(w, &db);
+  const Point2 q{{0.5, 0.5}};
+  const std::pair<uint64_t, uint64_t> one_hit{1, 0};
+  const std::pair<uint64_t, uint64_t> none{0, 0};
+
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::Knn(q, 5), true),
+            one_hit);
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::TopK(q, 5), true),
+            one_hit);
+  EXPECT_EQ(TierDelta(service.get(),
+                      QueryRequest<2>::BatchKnn({q, {{0.1, 0.9}}}, 5), true),
+            one_hit);
+  EXPECT_EQ(TierDelta(service.get(),
+                      QueryRequest<2>::NnSkyline({q, {{0.2, 0.7}}}), true),
+            one_hit);
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::ApproxKnn(q, 5, 0.5),
+                      true),
+            one_hit);
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::ReverseKnn(q, 2), true),
+            one_hit);
+  QueryRequest<2> candidates = QueryRequest<2>::ReverseKnn(q, 2);
+  candidates.rknn_candidates_only = true;
+  EXPECT_EQ(TierDelta(service.get(), candidates, true), one_hit);
+
+  QueryRequest<2> knn_approx = QueryRequest<2>::Knn(q, 5);
+  knn_approx.knn.epsilon = 0.5;
+  EXPECT_EQ(TierDelta(service.get(), knn_approx, false), none);
+  QueryRequest<2> batch_approx = QueryRequest<2>::BatchKnn({q}, 5);
+  batch_approx.knn.max_visits = 3;
+  EXPECT_EQ(TierDelta(service.get(), batch_approx, false), none);
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::BatchKnn({}, 5), true),
+            none);
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::TopK(q, 0), false),
+            none);
+  // Not resident-eligible: never counted either way.
+  EXPECT_EQ(TierDelta(service.get(),
+                      QueryRequest<2>::Range(
+                          Rect<2>::FromCorners({{0.4, 0.4}}, {{0.6, 0.6}})),
+                      true),
+            none);
+
+  // Reverse kNN on a 3-D service is rejected before any traversal.
+  Workload<3> w3(500, 0);
+  std::optional<SpatialDb<3>> db3;
+  std::unique_ptr<QueryService<3>> service3 = ResidentService(w3, &db3);
+  EXPECT_EQ(TierDelta(service3.get(),
+                      QueryRequest<3>::ReverseKnn({{0.5, 0.5, 0.5}}, 1),
+                      false),
+            none);
+  EXPECT_EQ(TierDelta(service3.get(),
+                      QueryRequest<3>::Knn({{0.5, 0.5, 0.5}}, 3), true),
+            one_hit);
 }
 
 // Serving mode: a write publishes a new tree version, which must drop the
@@ -336,7 +427,7 @@ TEST(ResidentTreeTest, ServingWriteInvalidatesAndRecompileRestores) {
     ASSERT_TRUE(got.ok());
     ExpectKnnMatchesBruteForce(live, queries.back(), 5, got.neighbors);
   }
-  ServiceStats stats = (*service)->Stats();
+  ServiceStats stats = (*service)->Snapshot();
   EXPECT_GE(stats.resident_fallbacks, static_cast<uint64_t>(kQueries));
   EXPECT_GE(stats.resident_invalidations, 1u);
   const uint64_t hits_before = stats.resident_hits;
@@ -347,7 +438,7 @@ TEST(ResidentTreeTest, ServingWriteInvalidatesAndRecompileRestores) {
     ASSERT_TRUE(got.ok());
     ExpectKnnMatchesBruteForce(live, q, 5, got.neighbors);
   }
-  stats = (*service)->Stats();
+  stats = (*service)->Snapshot();
   EXPECT_EQ(stats.resident_hits, hits_before + kQueries);
   EXPECT_GE(stats.resident_compiles, 2u);
   EXPECT_GT(stats.resident_arena_bytes, 0u);

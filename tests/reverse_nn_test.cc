@@ -1,3 +1,6 @@
+// Reverse nearest neighbor is reverse k-NN at k = 1: every case here runs
+// ReverseKnnSearch with k = 1 against a brute-force reverse-NN oracle.
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -5,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/reverse_nn.h"
+#include "core/reverse_knn.h"
 #include "data/clustered.h"
 #include "data/dataset.h"
 #include "data/uniform.h"
@@ -34,6 +37,18 @@ std::set<uint64_t> BruteReverseNn(const std::vector<Entry<2>>& data,
   return result;
 }
 
+// The reverse nearest neighbors of q: reverse k-NN at k = 1.
+Result<std::vector<Neighbor>> ReverseNn(const RTree<2>& tree,
+                                        const Point2& q) {
+  QueryScratch<2> scratch;
+  std::vector<Neighbor> out;
+  ReverseKnnOptions options;
+  options.k = 1;
+  SPATIAL_RETURN_IF_ERROR(
+      ReverseKnnSearch(tree, q, options, &scratch, &out, nullptr));
+  return out;
+}
+
 std::set<uint64_t> IdsOf(const std::vector<Neighbor>& neighbors) {
   std::set<uint64_t> ids;
   for (const Neighbor& n : neighbors) ids.insert(n.id);
@@ -42,7 +57,7 @@ std::set<uint64_t> IdsOf(const std::vector<Neighbor>& neighbors) {
 
 TEST(ReverseNnTest, EmptyTree) {
   TestIndex2D index;
-  auto result = ReverseNnSearch<2>(*index.tree, {{0.5, 0.5}}, nullptr);
+  auto result = ReverseNn(*index.tree, {{0.5, 0.5}});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -50,7 +65,7 @@ TEST(ReverseNnTest, EmptyTree) {
 TEST(ReverseNnTest, SingleObjectIsAlwaysReverseNn) {
   TestIndex2D index;
   ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.3, 0.3}}), 7).ok());
-  auto result = ReverseNnSearch<2>(*index.tree, {{0.9, 0.9}}, nullptr);
+  auto result = ReverseNn(*index.tree, {{0.9, 0.9}});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].id, 7u);
@@ -65,7 +80,7 @@ TEST(ReverseNnTest, HandCaseAsymmetry) {
   ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.0, 0.0}}), 1).ok());
   ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{2.5, 0.0}}), 2).ok());
   ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{2.8, 0.0}}), 3).ok());
-  auto result = ReverseNnSearch<2>(*index.tree, {{1.0, 0.0}}, nullptr);
+  auto result = ReverseNn(*index.tree, {{1.0, 0.0}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(IdsOf(*result), (std::set<uint64_t>{1}));
 }
@@ -74,7 +89,7 @@ TEST(ReverseNnTest, QueryOnDataPoint) {
   TestIndex2D index;
   ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.5, 0.5}}), 1).ok());
   ASSERT_TRUE(index.tree->Insert(Rect2::FromPoint({{0.9, 0.9}}), 2).ok());
-  auto result = ReverseNnSearch<2>(*index.tree, {{0.5, 0.5}}, nullptr);
+  auto result = ReverseNn(*index.tree, {{0.5, 0.5}});
   ASSERT_TRUE(result.ok());
   // Object 1 coincides with q (distance 0); object 2's nearest other is 1.
   const std::set<uint64_t> got = IdsOf(*result);
@@ -91,7 +106,7 @@ TEST_P(ReverseNnPropertyTest, MatchesBruteForceUniform) {
   index.InsertAll(data);
   for (int trial = 0; trial < 30; ++trial) {
     const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto result = ReverseNnSearch<2>(*index.tree, q, nullptr);
+    auto result = ReverseNn(*index.tree, q);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(IdsOf(*result), BruteReverseNn(data, q)) << "trial " << trial;
   }
@@ -105,7 +120,7 @@ TEST_P(ReverseNnPropertyTest, MatchesBruteForceClustered) {
   index.InsertAll(data);
   for (int trial = 0; trial < 30; ++trial) {
     const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto result = ReverseNnSearch<2>(*index.tree, q, nullptr);
+    auto result = ReverseNn(*index.tree, q);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(IdsOf(*result), BruteReverseNn(data, q)) << "trial " << trial;
   }
@@ -124,7 +139,7 @@ TEST(ReverseNnTest, ResultCountIsBoundedBySix) {
   index.InsertAll(data);
   for (int trial = 0; trial < 50; ++trial) {
     const Point2 q{{rng.Uniform(0, 1), rng.Uniform(0, 1)}};
-    auto result = ReverseNnSearch<2>(*index.tree, q, nullptr);
+    auto result = ReverseNn(*index.tree, q);
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->size(), 6u);
   }
@@ -142,7 +157,7 @@ TEST(ReverseNnTest, IsolatedQueryFarFromDenseClusterHasNoReverseNn) {
         i});
     ASSERT_TRUE(index.tree->Insert(data.back().mbr, i).ok());
   }
-  auto result = ReverseNnSearch<2>(*index.tree, {{5.0, 5.0}}, nullptr);
+  auto result = ReverseNn(*index.tree, {{5.0, 5.0}});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

@@ -66,7 +66,6 @@
 #include "core/farthest.h"
 #include "core/knn.h"
 #include "core/reverse_knn.h"
-#include "core/reverse_nn.h"
 #include "core/scratch.h"
 #include "core/skyline.h"
 #include "data/clustered.h"
@@ -293,46 +292,46 @@ int CmdFarthest(int argc, char** argv) {
   return 0;
 }
 
-int CmdRnn(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const uint32_t page_size =
-      argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 1024;
-  auto db = SpatialDb<2>::OpenFromFile(argv[0], page_size, 1024);
+// Reverse k-NN of (x, y) over the database at `db_path`; `rnn` is k = 1.
+int ReverseKnnCommand(const char* db_path, const char* x, const char* y,
+                      uint32_t k, uint32_t page_size, const char* name,
+                      const char* noun) {
+  auto db = SpatialDb<2>::OpenFromFile(db_path, page_size, 1024);
   if (!db.ok()) return Fail(db.status(), "open db");
-  const Point2 q{{std::atof(argv[1]), std::atof(argv[2])}};
-  auto result = ReverseNnSearch<2>(db->tree(), q, nullptr);
-  if (!result.ok()) return Fail(result.status(), "rnn");
-  for (const Neighbor& n : *result) {
-    std::printf("id=%llu distance=%.9f\n",
-                static_cast<unsigned long long>(n.id), std::sqrt(n.dist_sq));
-  }
-  std::printf("(%zu reverse nearest neighbors)\n", result->size());
-  return 0;
-}
-
-int CmdRknn(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const uint32_t page_size =
-      argc > 4 ? static_cast<uint32_t>(std::atoi(argv[4])) : 1024;
-  auto db = SpatialDb<2>::OpenFromFile(argv[0], page_size, 1024);
-  if (!db.ok()) return Fail(db.status(), "open db");
-  const Point2 q{{std::atof(argv[1]), std::atof(argv[2])}};
+  const Point2 q{{std::atof(x), std::atof(y)}};
   ReverseKnnOptions options;
-  options.k = static_cast<uint32_t>(std::atoi(argv[3]));
+  options.k = k;
   QueryScratch<2> scratch;
   std::vector<Neighbor> found;
   QueryStats stats;
   if (Status s = ReverseKnnSearch(db->tree(), q, options, &scratch, &found,
                                   &stats);
       !s.ok()) {
-    return Fail(s, "rknn");
+    return Fail(s, name);
   }
   for (const Neighbor& n : found) {
     std::printf("id=%llu distance=%.9f\n",
                 static_cast<unsigned long long>(n.id), std::sqrt(n.dist_sq));
   }
-  std::printf("(%zu reverse k-nearest neighbors)\n", found.size());
+  std::printf("(%zu %s)\n", found.size(), noun);
   return 0;
+}
+
+int CmdRnn(int argc, char** argv) {
+  if (argc < 3) return Usage();
+  const uint32_t page_size =
+      argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 1024;
+  return ReverseKnnCommand(argv[0], argv[1], argv[2], /*k=*/1, page_size,
+                           "rnn", "reverse nearest neighbors");
+}
+
+int CmdRknn(int argc, char** argv) {
+  if (argc < 4) return Usage();
+  const uint32_t page_size =
+      argc > 4 ? static_cast<uint32_t>(std::atoi(argv[4])) : 1024;
+  return ReverseKnnCommand(argv[0], argv[1], argv[2],
+                           static_cast<uint32_t>(std::atoi(argv[3])),
+                           page_size, "rknn", "reverse k-nearest neighbors");
 }
 
 int CmdSkyline(int argc, char** argv) {
@@ -495,16 +494,16 @@ int CmdServeBench(int argc, char** argv) {
   }
   for (auto& c : clients) c.join();
 
-  const ServiceStats stats = (*service)->Stats();
+  const ServiceStats stats = (*service)->Snapshot();
   std::printf("served %llu queries (%llu failed) on %u workers in %.3f s\n",
               static_cast<unsigned long long>(stats.TotalQueries()),
               static_cast<unsigned long long>(failed.load()), workers,
               stats.elapsed_seconds);
   std::printf("throughput:      %.0f queries/s\n", stats.QueriesPerSecond());
   std::printf("latency p50/p95/p99: %.3f / %.3f / %.3f ms (max %.3f)\n",
-              static_cast<double>(stats.latency.PercentileNs(0.50)) / 1e6,
-              static_cast<double>(stats.latency.PercentileNs(0.95)) / 1e6,
-              static_cast<double>(stats.latency.PercentileNs(0.99)) / 1e6,
+              static_cast<double>(stats.latency.Percentile(0.50)) / 1e6,
+              static_cast<double>(stats.latency.Percentile(0.95)) / 1e6,
+              static_cast<double>(stats.latency.Percentile(0.99)) / 1e6,
               static_cast<double>(stats.latency.max) / 1e6);
   std::printf("page accesses/query: %.2f logical, %.2f physical "
               "(hit rate %.3f)\n",

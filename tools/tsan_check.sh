@@ -11,9 +11,11 @@
 # publish/invalidate/recompile-under-write-load race coverage, the
 # distributed-trace test (sampled scatter-gather over RPC with concurrent
 # remote admin scrapes against the live trace log), the inline scatter
-# test (nearest-first kNN on the caller's thread, inline lanes), and the
+# test (nearest-first kNN on the caller's thread, inline lanes), the
 # batch scatter test (owner-first batches: per-query bounds shared between
-# one shard's phase-1 worker and the other shards' phase-2 workers).
+# one shard's phase-1 worker and the other shards' phase-2 workers), and
+# the RPC server test (handler reaping from the accept loop, connection
+# fds leaving the live set before they are closed).
 #
 # Usage: tools/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -27,13 +29,13 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target query_service_test service_stress_test serving_stress_test \
   io_stats_test obs_metrics_test metrics_scrape_test shard_stress_test \
   resident_tree_test advanced_shard_test distributed_trace_test \
-  inline_scatter_test batch_scatter_test
+  inline_scatter_test batch_scatter_test net_server_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 for t in io_stats_test obs_metrics_test query_service_test \
          service_stress_test shard_stress_test resident_tree_test \
          advanced_shard_test distributed_trace_test inline_scatter_test \
-         batch_scatter_test; do
+         batch_scatter_test net_server_test; do
   echo "=== TSan: $t ==="
   "$BUILD_DIR/tests/$t"
 done
