@@ -195,6 +195,10 @@ void QueryService<D>::Shutdown() {
   if (writer_thread_.joinable()) writer_thread_.join();
   if (serving_db_ != nullptr && reader_slots_held_) {
     for (const auto& worker : workers_) {
+      // An inline caller may still hold this worker's state; it checked
+      // stopped_ under the lock, so once we hold it no caller uses the
+      // slot again.
+      std::lock_guard<std::mutex> lock(worker->state_mu);
       serving_db_->ReleaseReader(worker->reader_slot);
     }
     reader_slots_held_ = false;
@@ -233,7 +237,7 @@ QueryResponse<D> QueryService<D>::Execute(QueryRequest<D> request) {
 
 template <int D>
 bool QueryService<D>::CanExecuteInline(QueryKind kind) const {
-  return resident_fixed_ != nullptr && IsResidentEligible(kind) &&
+  return options_.simulated_read_latency_us == 0 && IsResidentEligible(kind) &&
          !stopped_.load(std::memory_order_acquire);
 }
 
@@ -251,11 +255,40 @@ typename QueryService<D>::InlineLane* QueryService<D>::AcquireLane() {
 }
 
 template <int D>
+typename QueryService<D>::Worker* QueryService<D>::BorrowWorker(
+    std::unique_lock<std::mutex>* state) {
+  const uint32_t n = options_.num_workers;
+  const uint32_t hint = ThreadLaneHint();
+  for (uint32_t i = 0; i < n; ++i) {
+    Worker* worker = workers_[(hint + i) % n].get();
+    std::unique_lock<std::mutex> lock(worker->state_mu, std::try_to_lock);
+    if (!lock.owns_lock()) continue;
+    // Shutdown sets stopped_ before it takes each worker's lock to release
+    // the reader slot, so a lock taken after that sees the flag.
+    if (stopped_.load(std::memory_order_acquire)) return nullptr;
+    *state = std::move(lock);
+    return worker;
+  }
+  return nullptr;
+}
+
+template <int D>
 void QueryService<D>::ExecuteInline(const QueryRequest<D>& request,
                                     QueryScratch<D>* scratch,
                                     QueryResponse<D>* response) {
   InlineLane* lane =
       CanExecuteInline(request.kind) ? AcquireLane() : nullptr;
+  // Without a compiled read-only arena the query needs a worker's pool and
+  // tree handle (and, serving, its snapshot slot): borrow an idle one.
+  std::unique_lock<std::mutex> state;
+  Worker* borrowed = nullptr;
+  if (lane != nullptr && resident_fixed_ == nullptr) {
+    borrowed = BorrowWorker(&state);
+    if (borrowed == nullptr) {
+      lane->busy.store(false, std::memory_order_release);
+      lane = nullptr;
+    }
+  }
   if (lane == nullptr) {
     *response = Execute(request);
     return;
@@ -266,8 +299,12 @@ void QueryService<D>::ExecuteInline(const QueryRequest<D>& request,
   RunQuery(lane, worker_id, scratch, request,
            std::chrono::steady_clock::now(), /*queue_wait_ns=*/0, response,
            [&] {
-             Dispatch(lane, /*tree=*/nullptr, scratch, request,
-                      resident_fixed_, response);
+             if (borrowed != nullptr) {
+               DispatchOnWorker(lane, borrowed, scratch, request, response);
+             } else {
+               Dispatch(lane, /*tree=*/nullptr, scratch, request,
+                        resident_fixed_, response);
+             }
            });
   lane->busy.store(false, std::memory_order_release);
 }
@@ -281,12 +318,9 @@ void QueryService<D>::WorkerLoop(Worker* worker, uint32_t worker_id) {
     QueryResponse<D> response;
     RunQuery(worker, worker_id, &worker->scratch, task->request, start,
              queue_wait_ns, &response, [&] {
-               if (serving_db_ != nullptr) {
-                 DispatchPinned(worker, task->request, &response);
-               } else {
-                 Dispatch(worker, &*worker->tree, &worker->scratch,
-                          task->request, resident_fixed_, &response);
-               }
+               std::lock_guard<std::mutex> lock(worker->state_mu);
+               DispatchOnWorker(worker, worker, &worker->scratch,
+                                task->request, &response);
              });
     // Stamped where the response is fulfilled, so a scatter-gather caller
     // can tell when this shard finished, not when it was looked at.
@@ -299,9 +333,14 @@ void QueryService<D>::WorkerLoop(Worker* worker, uint32_t worker_id) {
 }
 
 template <int D>
-void QueryService<D>::DispatchPinned(Worker* worker,
-                                     const QueryRequest<D>& request,
-                                     QueryResponse<D>* response) {
+void QueryService<D>::DispatchOnWorker(Executor* ex, Worker* worker,
+                                       QueryScratch<D>* scratch,
+                                       const QueryRequest<D>& request,
+                                       QueryResponse<D>* response) {
+  if (serving_db_ == nullptr) {
+    Dispatch(ex, &*worker->tree, scratch, request, resident_fixed_, response);
+    return;
+  }
   // Pin the current snapshot for the whole query: the checkpoint
   // reclaimer will not recycle any page this version can reach until the
   // Unpin. A reclaim_gen change means some earlier checkpoint DID recycle
@@ -328,8 +367,7 @@ void QueryService<D>::DispatchPinned(Worker* worker,
          resident->root_page() == snap.root_page)
             ? resident.get()
             : nullptr;
-    Dispatch(worker, &*worker->tree, &worker->scratch, request, fast,
-             response);
+    Dispatch(ex, &*worker->tree, scratch, request, fast, response);
   } else {
     response->status = std::move(prep);
   }
@@ -481,21 +519,15 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
   const int kind = static_cast<int>(request.kind);
   // One tree handle per query: the resident tree when the caller resolved
   // a fresh one, the paged tree otherwise. Resident-eligible kinds take it
-  // through tiered(), which also counts the tier decision, so call it only
-  // once the kind's own validation passed: a rejected or empty request
-  // counts nothing. A fallback is an eligible query the tier *could not*
-  // serve (disabled tiers count nothing — the gap is not a fallback).
-  // Ranges and constrained kNN stay on the paged tree.
+  // once their own validation passed and leave the switch with `break`;
+  // the tier decision is counted after the switch unless the core rejected
+  // the options (InvalidArgument, before any traversal), so a rejected or
+  // empty request counts nothing. A fallback is an eligible query the tier
+  // *could not* serve (disabled tiers count nothing — the gap is not a
+  // fallback). Every other case returns from the switch: ranges and
+  // constrained kNN stay on the paged tree.
   const TreeRef<D> target =
       resident != nullptr ? TreeRef<D>(*resident) : TreeRef<D>(*tree);
-  const auto tiered = [&]() -> const TreeRef<D>& {
-    if (target.resident()) {
-      ++ex->tier_hits[kind];
-    } else if (options_.resident_tier) {
-      ++ex->tier_fallbacks[kind];
-    }
-    return target;
-  };
   // The exact kinds must stay exact: approximation knobs ride only on
   // kApproxKnn, whose metrics and contract are separate by design.
   const bool approx_knobs_set =
@@ -508,9 +540,9 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
         return;
       }
       response.status =
-          KnnSearchInto<D>(tiered(), request.query, request.knn, scratch,
+          KnnSearchInto<D>(target, request.query, request.knn, scratch,
                            &response.neighbors, &response.stats);
-      return;
+      break;
     }
     case QueryKind::kConstrainedKnn: {
       if (approx_knobs_set ||
@@ -540,18 +572,18 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
         response.status = Status::InvalidArgument("top_k must be >= 1");
         return;
       }
-      IncrementalKnn<D> scan(tiered(), request.query, scratch,
+      IncrementalKnn<D> scan(target, request.query, scratch,
                              &response.stats);
       for (uint32_t i = 0; i < request.top_k; ++i) {
         auto next = scan.Next();
         if (!next.ok()) {
           response.status = next.status();
-          return;
+          break;
         }
         if (!next->has_value()) break;  // tree exhausted
         response.neighbors.push_back(**next);
       }
-      return;
+      break;
     }
     case QueryKind::kBatchKnn: {
       if (approx_knobs_set) {
@@ -565,14 +597,14 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
       }
       BatchKnnResult batch;
       response.status = KnnSearchBatch<D>(
-          tiered(), request.batch_queries.data(), request.batch_queries.size(),
+          target, request.batch_queries.data(), request.batch_queries.size(),
           request.knn, scratch, &batch, request.batch_bounds);
       if (response.status.ok()) {
         response.neighbors = std::move(batch.neighbors);
         response.batch_offsets = std::move(batch.offsets);
         for (const QueryStats& qs : batch.stats) response.stats.Add(qs);
       }
-      return;
+      break;
     }
     case QueryKind::kReverseKnn: {
       if constexpr (D == 2) {
@@ -582,9 +614,9 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
         // router verifies against the global tree itself.
         response.status =
             request.rknn_candidates_only
-                ? ReverseKnnCandidates(tiered(), request.query, rknn, scratch,
+                ? ReverseKnnCandidates(target, request.query, rknn, scratch,
                                        &response.entries, &response.stats)
-                : ReverseKnnSearch(tiered(), request.query, rknn, scratch,
+                : ReverseKnnSearch(target, request.query, rknn, scratch,
                                    &response.neighbors, &response.stats);
       } else {
         // The sector construction is planar (core/reverse_knn.h); surface
@@ -592,19 +624,19 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
         response.status = Status::InvalidArgument(
             "reverse-knn supports 2-D services only");
       }
-      return;
+      break;
     }
     case QueryKind::kNnSkyline: {
       response.status = NnSkylineSearch<D>(
-          tiered(), request.batch_queries.data(), request.batch_queries.size(),
+          target, request.batch_queries.data(), request.batch_queries.size(),
           scratch, &response.entries, &response.stats);
-      return;
+      break;
     }
     case QueryKind::kApproxKnn: {
       response.status =
-          KnnSearchInto<D>(tiered(), request.query, request.knn, scratch,
+          KnnSearchInto<D>(target, request.query, request.knn, scratch,
                            &response.neighbors, &response.stats);
-      return;
+      break;
     }
     case QueryKind::kInsert:
     case QueryKind::kDelete:
@@ -615,7 +647,18 @@ void QueryService<D>::Dispatch(Executor* ex, const RTree<D>* tree,
           Status::Internal("write request dispatched to a query worker");
       return;
   }
-  response.status = Status::InvalidArgument("unknown query kind");
+  // Only resident-eligible kinds leave the switch; any other value lies
+  // outside the enum.
+  if (!IsResidentEligible(request.kind)) {
+    response.status = Status::InvalidArgument("unknown query kind");
+    return;
+  }
+  if (response.status.IsInvalidArgument()) return;
+  if (target.resident()) {
+    ++ex->tier_hits[kind];
+  } else if (options_.resident_tier) {
+    ++ex->tier_fallbacks[kind];
+  }
 }
 
 template <int D>

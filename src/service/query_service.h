@@ -44,11 +44,15 @@ namespace spatial {
 //   * The served tree version is immutable (permanently in read-only mode,
 //     per-snapshot under COW in serving mode), so workers share the
 //     on-disk image with no coordination at all.
-//   * Each worker owns a private ReadOnlyDiskView + BufferPool + RTree
-//     handle — the hot path (queue pop aside) takes no locks and touches
-//     no shared mutable state. Physical reads go through the base disk's
-//     thread-safe ReadPageConcurrent (pread on files, stable-memory copy
-//     in-memory).
+//   * Each worker has a private ReadOnlyDiskView + BufferPool + RTree
+//     handle (plus, serving, a snapshot-pin slot) behind one per-worker
+//     mutex. The worker holds it around each task; an ExecuteInline caller
+//     borrows an idle worker's state with try_lock and never waits for
+//     it, so the state serves one query at a time and a worker waits at
+//     most for one borrowed query to finish. No other shared mutable
+//     state is touched. Physical reads go through the base
+//     disk's thread-safe ReadPageConcurrent (pread on files, stable-memory
+//     copy in-memory).
 //   * Per-query latency lands in a lock-free per-worker histogram;
 //     Snapshot() merges workers into one ServiceStats (percentiles, QPS, and
 //     the paper's page-accesses-per-query, now measurable under load).
@@ -146,9 +150,12 @@ class QueryService {
   // own a thread and a scratch arena (the shard router's nearest-first kNN
   // scatter, docs/SHARDING.md). The answer overwrites `response` in place,
   // so a caller that reuses one response reuses its vectors' capacity. The
-  // request runs inline when CanExecuteInline(kind) holds and one of the
-  // service's inline accounting lanes is free; otherwise it takes the
-  // queue exactly as Execute() does. Inline executions are accounted like
+  // request runs inline when CanExecuteInline(kind) holds, one of the
+  // service's inline accounting lanes is free and — unless a read-only
+  // resident tree serves it — an idle worker's storage state (pool, tree
+  // handle, snapshot slot) can be borrowed; otherwise it takes the queue
+  // exactly as Execute() does. A borrowed pool's buffer and I/O counters
+  // stay that worker's. Inline executions are accounted like
   // worker executions — Snapshot(), per-kind counts and stats, tier hits,
   // the latency histogram, the slow/sampled query log, and the trace
   // record of a sampled request — except that there is no queue: the
@@ -158,9 +165,11 @@ class QueryService {
   void ExecuteInline(const QueryRequest<D>& request, QueryScratch<D>* scratch,
                      QueryResponse<D>* response);
 
-  // True when ExecuteInline runs `kind` on the calling thread: a running
-  // read-only service (Open / Attach) whose resident tree compiled at
-  // start-up, and a resident-eligible kind.
+  // True when ExecuteInline may run `kind` on the calling thread: a
+  // resident-eligible kind on a running service whose reads do not sleep
+  // on a simulated device (simulated_read_latency_us == 0) — read-only
+  // resident, read-only paged and serving alike. Simulated-latency reads
+  // overlap only across the workers, so those services keep the queue.
   bool CanExecuteInline(QueryKind kind) const;
 
   // Stops accepting requests, drains the queue, joins workers. Idempotent;
@@ -250,18 +259,23 @@ class QueryService {
   };
 
   // Everything a worker thread touches while executing queries. Built on
-  // the service thread before workers start; thereafter written only by
-  // the owning worker.
+  // the service thread before workers start. The Executor counters, the
+  // queue-wait histogram and the scratch arena are the worker thread's
+  // alone; the storage state below `state_mu` is written by whoever holds
+  // it — the worker around each task, or an ExecuteInline caller that
+  // borrowed it.
   struct Worker : Executor {
-    std::unique_ptr<ReadOnlyDiskView> disk;
-    std::unique_ptr<BufferPool> pool;
-    std::optional<RTree<D>> tree;
     LatencyHistogram queue_wait;
-    // Physical-read latency, recorded by the disk view (miss path only).
-    obs::PowerHistogram read_latency;
     // Reusable traversal arena: after warm-up, kNN/top-k dispatches run
     // without heap allocation (docs/PERF.md).
     QueryScratch<D> scratch;
+
+    std::mutex state_mu;
+    std::unique_ptr<ReadOnlyDiskView> disk;
+    std::unique_ptr<BufferPool> pool;
+    std::optional<RTree<D>> tree;
+    // Physical-read latency, recorded by the disk view (miss path only).
+    obs::PowerHistogram read_latency;
     // Serving mode: the worker's snapshot-pin slot, and the last
     // reclaim_gen it observed — when it changes, a checkpoint recycled
     // page ids and the private pool's cached images must be dropped.
@@ -296,16 +310,23 @@ class QueryService {
                 uint64_t queue_wait_ns, QueryResponse<D>* response,
                 DispatchFn&& dispatch);
   // Fills the default-constructed `response`. `resident` is the tree to
-  // route eligible kinds through, already validated against the worker's
-  // pinned snapshot (null = paged path through `tree`, which inline
-  // callers never reach).
+  // route eligible kinds through, already validated against the pinned
+  // snapshot (null = the paged path through `tree`); `tree` is null only
+  // on the read-only resident inline path, which never needs it.
   void Dispatch(Executor* ex, const RTree<D>* tree, QueryScratch<D>* scratch,
                 const QueryRequest<D>& request,
                 const ResidentTree<D>* resident, QueryResponse<D>* response);
-  // Serving mode: Dispatch under a pin of the current snapshot.
-  void DispatchPinned(Worker* worker, const QueryRequest<D>& request,
-                      QueryResponse<D>* response);
+  // Dispatch on `worker`'s storage state, whose state_mu the caller holds;
+  // serving mode pins the current snapshot in the worker's slot around it.
+  // `ex` and `scratch` are the executing thread's.
+  void DispatchOnWorker(Executor* ex, Worker* worker,
+                        QueryScratch<D>* scratch,
+                        const QueryRequest<D>& request,
+                        QueryResponse<D>* response);
   InlineLane* AcquireLane();
+  // Returns an idle worker, its state_mu locked through `state`, or null
+  // when every worker is busy or the service has stopped.
+  Worker* BorrowWorker(std::unique_lock<std::mutex>* state);
   template <typename Fn>
   void ForEachExecutor(Fn&& fn) const;
   // Compiles the tree version identified by (root_page, tree_size,
@@ -345,10 +366,10 @@ class QueryService {
   std::unique_ptr<obs::SlowQueryLog> slow_log_;
   // Resident tier. The published tree is swapped under resident_mu_:
   // compiled by StartWorkers / RecompileResidentTier, dropped by the
-  // writer thread when a batch publishes a new version. Serving workers
+  // writer thread when a batch publishes a new version. Serving queries
   // copy the shared_ptr per query and verify (source_epoch, root_page)
-  // against their pinned snapshot; read-only workers and inline callers
-  // bypass the mutex via resident_fixed_.
+  // against their pinned snapshot; read-only queries bypass the mutex via
+  // resident_fixed_.
   mutable std::mutex resident_mu_;
   std::shared_ptr<const ResidentTree<D>> resident_;
   // Read-only mode only: the resident tree, set before the worker threads

@@ -54,14 +54,17 @@ namespace spatial {
 // epsilon contract is preserved for kApproxKnn; E19 measures the pages
 // saved.
 //
-// Nearest-first inline kNN (docs/SHARDING.md): a kKnn over shards that
-// are all read-only with a compiled resident tree does not queue to the
-// shard workers. The router runs the shards one after another on the
-// calling thread (QueryService::ExecuteInline), in ascending MINDIST from
-// the query to each shard's tile, with the stack SharedPruneBound
-// planted: later shards start from the nearest shard's k-th distance and
-// usually prune at their roots. Every other request — other kinds,
-// serving-mode or paged shards — takes the queued scatter.
+// Nearest-first inline kNN (docs/SHARDING.md): a kKnn over shards whose
+// reads do not sleep on a simulated device — read-only resident, read-only
+// paged or serving — does not queue to the shard workers. The router runs
+// the shards one after another on the calling thread
+// (QueryService::ExecuteInline; a paged or serving shard lends it an idle
+// worker's pool and snapshot slot), in ascending MINDIST from the query to
+// each shard's tile, with the stack SharedPruneBound planted: later shards
+// start from the nearest shard's k-th distance and usually prune at their
+// roots. Every other request — other kinds, shards with simulated read
+// latency — takes the queued scatter, and so does one shard's share when
+// that shard has no idle worker to lend.
 //
 // Owner-first batch kNN (docs/SHARDING.md): with Options::stream_bound, a
 // non-empty kBatchKnn takes the queued scatter twice, on every backend.
@@ -138,8 +141,9 @@ class ShardRouter {
  private:
   QueryResponse<D> ScatterQuery(const QueryRequest<D>& request);
   // Whether ScatterQuery runs `request` on the calling thread: a kKnn
-  // over shards that can all execute it inline (read-only, resident tree
-  // compiled). Everything else is queued to the shards' workers.
+  // over shards that can all execute it inline
+  // (QueryService::CanExecuteInline). Everything else is queued to the
+  // shards' workers.
   bool RunsInline(const QueryRequest<D>& request) const;
   void ScatterInline(const QueryRequest<D>& scattered, bool sampled,
                      std::span<QueryResponse<D>> answers, uint64_t* shard_ns);

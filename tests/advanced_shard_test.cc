@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -63,7 +64,11 @@ void RunAdvancedEquivalenceSuite(uint32_t shards, bool file_backed,
                " file=" + std::to_string(file_backed) +
                " resident=" + std::to_string(resident));
   const auto data = MakeData(1200);
-  auto options = SetOptions(shards, file_backed, ::testing::TempDir());
+  // A directory of its own: other test binaries write shard_<i>.sdb files
+  // too, and ctest runs them in parallel.
+  const std::string dir = ::testing::TempDir() + "/advanced_shard_test";
+  ASSERT_EQ(0, std::system(("mkdir -p " + dir).c_str()));
+  auto options = SetOptions(shards, file_backed, dir);
   options.service.resident_tier = resident;
   auto set = ShardSet<2>::Build(data, options);
   ASSERT_TRUE(set.ok()) << set.status().ToString();

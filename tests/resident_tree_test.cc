@@ -368,6 +368,11 @@ TEST(ResidentTreeTest, TierAccountingCountsOnlyTraversals) {
             none);
   EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::TopK(q, 0), false),
             none);
+  // Options the core rejects before any traversal count nothing either.
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::Knn(q, 0), false),
+            none);
+  EXPECT_EQ(TierDelta(service.get(), QueryRequest<2>::NnSkyline({}), false),
+            none);
   // Not resident-eligible: never counted either way.
   EXPECT_EQ(TierDelta(service.get(),
                       QueryRequest<2>::Range(

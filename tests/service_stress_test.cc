@@ -57,17 +57,6 @@ std::vector<QueryCase> MakeGolden(const SpatialDb<2>& db, size_t count) {
   return cases;
 }
 
-// Every neighbor must match bit-for-bit: same id, same squared distance.
-void ExpectByteIdentical(const std::vector<Neighbor>& got,
-                         const std::vector<Neighbor>& expected) {
-  ASSERT_EQ(got.size(), expected.size());
-  if (!got.empty()) {
-    ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                          got.size() * sizeof(Neighbor)),
-              0);
-  }
-}
-
 // Hammers `service` from kClientThreads submitters, each drawing query
 // indices round-robin from the shared golden set, and checks every answer.
 void RunStress(QueryService<2>& service,

@@ -95,8 +95,11 @@ void RunEquivalenceSuite(uint32_t shards, bool file_backed,
   auto reference = MakeReference(data);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  auto set = ShardSet<2>::Build(
-      data, SetOptions(shards, file_backed, ::testing::TempDir()));
+  // A directory of its own: other test binaries write shard_<i>.sdb files
+  // too, and ctest runs them in parallel.
+  const std::string dir = ::testing::TempDir() + "/shard_router_test";
+  ASSERT_EQ(0, system(("mkdir -p " + dir).c_str()));
+  auto set = ShardSet<2>::Build(data, SetOptions(shards, file_backed, dir));
   ASSERT_TRUE(set.ok()) << set.status().ToString();
   ShardRouter<2>::Options router_options;
   router_options.stream_bound = stream_bound;

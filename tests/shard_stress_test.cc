@@ -7,8 +7,8 @@
 // byte-identical against a single-tree reference, so a data race that
 // corrupts a bound, an inline lane or a merge shows up even without TSan.
 // Batches span every tile, so each takes both phases of the owner-first
-// batch scatter on every shard; a serving-shard case interleaves acked
-// writes with batches.
+// batch scatter on every shard; serving-shard cases interleave acked
+// writes with batches, and with inline kNN from several router threads.
 
 #include <gtest/gtest.h>
 
@@ -249,6 +249,127 @@ TEST(ShardStressTest, ServingBatchesSeeEveryAckedWrite) {
       }
     }
   }
+}
+
+// Serving shards under concurrent inline kNN: router threads run kNN on
+// their own threads, borrowing the shards' idle workers' pools and
+// snapshot slots, while a writer inserts and deletes. After each acked
+// insert a k=1 kNN at its point returns it; after each acked delete the
+// id is gone, and no reader whose query started after that ack sees it.
+TEST(ShardStressTest, ServingInlineKnnSeesEveryAckedWrite) {
+  const std::vector<Entry<2>> data = MakeData(2000);
+  ShardSet<2>::Options options;
+  options.num_shards = 4;
+  options.serving = true;
+  options.dir = ::testing::TempDir() + "/shard_stress_inline_serving";
+  options.page_size = 512;
+  options.buffer_pages = 64;
+  options.service.num_workers = 2;
+  options.service.frames_per_worker = 32;
+  ASSERT_EQ(0, system(("rm -rf " + options.dir + " && mkdir -p " +
+                       options.dir).c_str()));
+  auto set = ShardSet<2>::Build(data, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 60;
+  const uint64_t first_id = data.size();
+  // Per written id: the write sequence number at which its delete was
+  // acked (0 = not deleted). Readers compare it with the sequence number
+  // they read before their query started.
+  std::vector<std::atomic<uint64_t>> deleted_at(kRounds);
+  std::atomic<uint64_t> write_seq{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> reads{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(500 + t);
+      while (!done.load(std::memory_order_relaxed)) {
+        const uint64_t seq = write_seq.load(std::memory_order_acquire);
+        const Point2 q{{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}};
+        const uint32_t k = 1 + static_cast<uint32_t>(rng.NextBounded(12));
+        const QueryResponse<2> got =
+            router.Execute(QueryRequest<2>::Knn(q, k));
+        reads.fetch_add(1, std::memory_order_relaxed);
+        if (!got.ok() || got.neighbors.size() != k) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < got.neighbors.size(); ++i) {
+          const Neighbor& nb = got.neighbors[i];
+          if (i > 0 && got.neighbors[i - 1].dist_sq > nb.dist_sq) {
+            mismatches.fetch_add(1);
+          }
+          if (nb.id >= first_id) {
+            const uint64_t at = deleted_at[nb.id - first_id].load();
+            if (at != 0 && at <= seq) mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+
+  // The writer inserts one object per round and deletes the object it
+  // inserted two rounds earlier, checking each write through the router.
+  Rng rng(600);
+  std::vector<Rect<2>> written;
+  uint64_t checks = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Rect<2> mbr = Rect<2>::FromPoint(
+        {{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}});
+    const uint64_t id = first_id + round;
+    written.push_back(mbr);
+    ASSERT_TRUE(router.Execute(QueryRequest<2>::Insert(mbr, id)).ok());
+    write_seq.fetch_add(1, std::memory_order_release);
+    const QueryResponse<2> found =
+        router.Execute(QueryRequest<2>::Knn(mbr.Center(), 1));
+    ++checks;
+    ASSERT_TRUE(found.ok()) << found.status.ToString();
+    ASSERT_EQ(found.neighbors.size(), 1u);
+    EXPECT_EQ(found.neighbors[0].id, id);
+    EXPECT_EQ(found.neighbors[0].dist_sq, 0.0);
+    if (round >= 2) {
+      const uint64_t victim = id - 2;
+      const Rect<2>& victim_mbr = written[victim - first_id];
+      const QueryResponse<2> ack =
+          router.Execute(QueryRequest<2>::Delete(victim_mbr, victim));
+      ASSERT_TRUE(ack.ok()) << ack.status.ToString();
+      ASSERT_EQ(ack.affected, 1u);
+      deleted_at[victim - first_id].store(
+          write_seq.fetch_add(1, std::memory_order_release) + 1);
+      const QueryResponse<2> gone =
+          router.Execute(QueryRequest<2>::Knn(victim_mbr.Center(), 1));
+      ++checks;
+      ASSERT_TRUE(gone.ok()) << gone.status.ToString();
+      ASSERT_EQ(gone.neighbors.size(), 1u);
+      EXPECT_NE(gone.neighbors[0].id, victim);
+    }
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  // Every kNN took the inline scatter; a shard's share queued only when
+  // no worker was idle to lend its state.
+  EXPECT_NE(router.ScrapeMetrics().find(
+                "spatial_router_inline_scatters_total " +
+                std::to_string(reads.load() + checks) + "\n"),
+            std::string::npos);
+  uint64_t executions = 0;
+  uint64_t queued = 0;
+  for (uint32_t s = 0; s < options.num_shards; ++s) {
+    const ServiceStats stats = (*set)->shard(s).Snapshot();
+    executions += stats.latency.total_count;
+    queued += stats.queue_wait.total_count;
+  }
+  EXPECT_EQ(executions, options.num_shards * (reads.load() + checks));
+  EXPECT_LT(queued, executions);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/alloc_tracker.h"
@@ -433,6 +435,54 @@ TEST(ZeroAllocTest, InlineRouterKnnAllocatesOnlyTheAnswer) {
     EXPECT_LE(delta.allocations, 2 * f.queries.size())
         << "routers k=" << k << ": " << delta.allocations
         << " allocations for " << 2 * f.queries.size() << " queries";
+  }
+}
+
+// Serving shards after a write on every shard: the resident trees are
+// dropped, so each shard's share runs on the paged path, on a borrowed
+// worker's pool under a snapshot pin. A warm call still allocates exactly
+// once: the merged neighbor vector it returns.
+TEST(ZeroAllocTest, InlineServingRouterKnnAllocatesOnlyTheAnswer) {
+  Fixture f;
+  ShardSet<2>::Options options;
+  options.service.num_workers = 1;
+  options.num_shards = 4;
+  options.serving = true;
+  options.dir = ::testing::TempDir() + "/zero_alloc_serving";
+  ASSERT_EQ(0, std::system(("rm -rf " + options.dir + " && mkdir -p " +
+                            options.dir).c_str()));
+  auto set = ShardSet<2>::Build(f.data, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ShardRouter<2> router(set->get());
+  uint64_t next_id = f.data.size();
+  for (uint32_t s = 0; s < options.num_shards; ++s) {
+    const Rect<2> mbr = Rect<2>::FromPoint((*set)->tile(s).Center());
+    ASSERT_TRUE(router.Execute(QueryRequest<2>::Insert(mbr, next_id++)).ok());
+    ASSERT_EQ((*set)->shard(s).resident_tree(), nullptr);
+  }
+
+  for (uint32_t k : {1u, 10u}) {
+    const auto run = [&] {
+      bool all_ok = true;
+      for (const Point2& q : f.queries) {
+        all_ok &= router.Execute(QueryRequest<2>::Knn(q, k)).ok();
+      }
+      return all_ok;
+    };
+    ASSERT_TRUE(run());  // warm pass
+
+    const AllocCounts before = ThreadAllocCounts();
+    const bool all_ok = run();
+    const AllocCounts delta = ThreadAllocCounts() - before;
+    ASSERT_TRUE(all_ok);
+    EXPECT_EQ(delta.allocations, f.queries.size())
+        << "serving router k=" << k << ": " << delta.allocations
+        << " allocations for " << f.queries.size() << " queries";
+  }
+  for (uint32_t s = 0; s < options.num_shards; ++s) {
+    const ServiceStats stats = (*set)->shard(s).Snapshot();
+    EXPECT_EQ(stats.queue_wait.total_count, 0u) << "shard " << s;
+    EXPECT_EQ(stats.resident_fallbacks, 4 * f.queries.size());
   }
 }
 

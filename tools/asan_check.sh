@@ -9,7 +9,9 @@
 # the metrics/knn/join tests cover the traversals that drive them. The
 # inline scatter test covers the router's reused per-thread answer slots,
 # the batch scatter test the owner-first batch's per-thread bound arrays
-# and slice cursors, and the wire test the iovec frame send.
+# and slice cursors, the shard stress test the inline kNN on borrowed
+# worker pools under concurrent writes, and the wire test the iovec frame
+# send.
 #
 # Usage: tools/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -20,7 +22,7 @@ BUILD_DIR="${1:-build-asan}"
 TESTS=(metrics_test metrics_reference_test simd_kernel_test knn_test
        knn_property_test spatial_join_test zero_alloc_test
        resident_tree_test advanced_query_test inline_scatter_test
-       batch_scatter_test net_wire_test)
+       batch_scatter_test shard_stress_test net_wire_test)
 
 cmake -B "$BUILD_DIR" -S . -DSPATIAL_SANITIZE=address+undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

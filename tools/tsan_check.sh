@@ -11,7 +11,8 @@
 # publish/invalidate/recompile-under-write-load race coverage, the
 # distributed-trace test (sampled scatter-gather over RPC with concurrent
 # remote admin scrapes against the live trace log), the inline scatter
-# test (nearest-first kNN on the caller's thread, inline lanes), the
+# test (nearest-first kNN on the caller's thread, inline lanes, borrowed
+# worker pools and snapshot slots), the
 # batch scatter test (owner-first batches: per-query bounds shared between
 # one shard's phase-1 worker and the other shards' phase-2 workers), and
 # the RPC server test (handler reaping from the accept loop, connection
